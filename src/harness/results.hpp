@@ -59,7 +59,13 @@ struct BenchResult
 
     /** Simulated memory operations the engine executed for this run. */
     std::uint64_t sim_memory_accesses = 0;
-    /** Fiber context switches the engine performed for this run. */
+    /**
+     * Scheduling picks the engine made for this run
+     * (SimMachine::fiber_switches). A pick that lets the thread which just
+     * blocked run ahead on its own stack counts too, so this is not the
+     * number of host stack switches; rates derived from it are picks per
+     * second.
+     */
     std::uint64_t sim_fiber_switches = 0;
     /**
      * Host wall-clock nanoseconds spent inside SimMachine::run() alone —

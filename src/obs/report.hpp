@@ -93,7 +93,7 @@ struct HostStats
     double wall_ns = 0.0;
     /** Simulated memory operations executed per host second. */
     double events_per_sec = 0.0;
-    /** Fiber context switches executed per host second. */
+    /** Engine scheduling picks (sim_fiber_switches) per host second. */
     double switches_per_sec = 0.0;
     /** Worker count the run used (1 = sequential). */
     int jobs = 1;

@@ -238,8 +238,12 @@ SimMachine::add_thread(int cpu, std::function<void(SimContext&)> body)
     }
 
     SimThread* raw = thr.get();
-    thr->fiber = std::make_unique<Fiber>([raw] { raw->body(raw->ctx); },
-                                         cfg_.fiber_stack_bytes);
+    thr->fiber = std::make_unique<Fiber>(
+        [this, raw] {
+            note_switched_in(); // first entry may be a direct switch
+            raw->body(raw->ctx);
+        },
+        cfg_.fiber_stack_bytes);
     ThreadHot hot;
     hot.fiber = thr->fiber.get();
     hot_.push_back(hot);
@@ -311,7 +315,7 @@ SimMachine::block_until(SimContext& ctx, SimTime t)
                    : t;
     hot.state = ThreadState::Runnable;
     ready_.push_or_update(ctx.tid_, hot.wake);
-    hot.fiber->yield();
+    dispatch();
 }
 
 void
@@ -324,9 +328,12 @@ SimMachine::wait_on(SimContext& ctx, MemRef ref, std::uint64_t v)
     hot.state = ThreadState::Waiting;
     hot.wake = kTimeInfinity;
     hot.waiting_line = ref.line;
-    if (scheduler_ == nullptr)
-        ready_.remove(ctx.tid_);
-    hot.fiber->yield();
+    if (scheduler_ != nullptr) {
+        hot.fiber->yield(); // back to run_controlled
+        return;
+    }
+    ready_.remove(ctx.tid_);
+    dispatch();
 }
 
 void
@@ -508,9 +515,8 @@ SimMachine::run()
 void
 SimMachine::run_timed()
 {
-    std::size_t done = 0;
     // Seed the ready queue: every thread starts Runnable at wake time 0.
-    // Also seed resume_sp — before the first resume it is the entry frame
+    // Also seed resume_sp — before the first entry it is the entry frame
     // the Fiber constructor prepared.
     ready_.reset(threads_.size());
     for (const auto& thr : threads_) {
@@ -518,55 +524,97 @@ SimMachine::run_timed()
         hot.resume_sp = thr->fiber->suspended_sp();
         ready_.push_or_update(thr->tid, hot.wake);
     }
-    while (done < threads_.size()) {
-        if (injector_ != nullptr)
-            sweep_deaths(done);
-        if (done >= threads_.size())
+    // Enter the first pick. From then on the fibers hand the host thread
+    // to each other (dispatch()); it comes back here only when the running
+    // fiber finishes, or when every thread is done.
+    while (done_ < threads_.size()) {
+        const int tid = pick_next();
+        if (tid < 0)
             break;
-        // The runnable thread with the earliest wake time, ties broken by
-        // thread id (determinism): the ready queue's top. Waiting threads
-        // (wake == infinity) are not in the queue; wake_watchers reinserts
-        // them. The queue is maintained at every state change, so the pick
-        // is O(1) instead of the old per-event scan over all threads.
-        if (ready_.empty())
-            panic_with_diagnosis("deadlock: no runnable thread");
-        const int next_tid = ready_.top_tid();
-        ThreadHot& next = hot_[static_cast<std::size_t>(next_tid)];
-        // Overlap the picked fiber's cold-stack misses with the watchdog
-        // and time-limit bookkeeping below (see prefetch_resume_state).
-        prefetch_resume_state(next_tid);
-        // Also start on the likely pick after this one: timer wakes
-        // (backoff/pause expiries) never pass through wake_watchers, so
-        // this peek is the only chance to give them a whole event's worth
-        // of prefetch distance.
-        if (const int follow = ready_.runner_up_tid(); follow >= 0)
-            prefetch_resume_state(follow);
-        NUCA_ASSERT(next.wake >= now_, "time went backwards");
-        now_ = next.wake;
-        if (checker_ != nullptr && checker_->watchdog_expired(now_))
-            panic_with_diagnosis(
-                "progress watchdog expired: threads are waiting but no "
-                "critical-section activity for " +
-                std::to_string(checker_->config().watchdog_window_ns) + " ns");
-        if (now_ > cfg_.max_sim_time)
-            panic_with_diagnosis(
-                "simulated time exceeded max_sim_time (livelock?)");
-
-        current_tid_ = next_tid;
-        ++fiber_switches_;
-        next.fiber->resume();
+        current_tid_ = tid;
+        hot_[static_cast<std::size_t>(tid)].fiber->resume();
+        if (!diagnosis_.empty())
+            panic_with_diagnosis(diagnosis_);
+        const int ran = current_tid_; // the fiber that handed control back
         current_tid_ = -1;
-        // Freshly yielded: remember where, so the next wake of this thread
-        // can prefetch its stack without first missing on the Fiber object.
-        next.resume_sp = next.fiber->suspended_sp();
-
-        if (next.fiber->finished()) {
-            next.state = ThreadState::Done;
-            threads_[static_cast<std::size_t>(next_tid)]->finish = now_;
-            ready_.remove(next_tid);
-            ++done;
+        ThreadHot& hot = hot_[static_cast<std::size_t>(ran)];
+        if (hot.fiber->finished()) {
+            hot.state = ThreadState::Done;
+            threads_[static_cast<std::size_t>(ran)]->finish = now_;
+            ready_.remove(ran);
+            ++done_;
         }
     }
+}
+
+int
+SimMachine::pick_next()
+{
+    if (injector_ != nullptr) {
+        sweep_deaths(done_);
+        if (done_ >= threads_.size())
+            return -1;
+    }
+    // The runnable thread with the earliest wake time, ties broken by
+    // thread id (determinism): the ready queue's top. Waiting threads
+    // (wake == infinity) are not in the queue; wake_watchers reinserts
+    // them. The queue is maintained at every state change, so the pick
+    // is O(1) instead of the old per-event scan over all threads.
+    if (ready_.empty())
+        fail("deadlock: no runnable thread");
+    const int next_tid = ready_.top_tid();
+    const ThreadHot& next = hot_[static_cast<std::size_t>(next_tid)];
+    // Overlap the picked fiber's cold-stack misses with the watchdog and
+    // time-limit bookkeeping below (see prefetch_resume_state). A run-ahead
+    // pick is the running thread itself, whose state is already hot.
+    if (next_tid != current_tid_)
+        prefetch_resume_state(next_tid);
+    // Also start on the likely pick after this one: timer wakes
+    // (backoff/pause expiries) never pass through wake_watchers, so this
+    // peek is the only chance to give them a whole event's worth of
+    // prefetch distance.
+    if (const int follow = ready_.runner_up_tid(); follow >= 0)
+        prefetch_resume_state(follow);
+    NUCA_ASSERT(next.wake >= now_, "time went backwards");
+    now_ = next.wake;
+    if (checker_ != nullptr && checker_->watchdog_expired(now_))
+        fail("progress watchdog expired: threads are waiting but no "
+             "critical-section activity for " +
+             std::to_string(checker_->config().watchdog_window_ns) + " ns");
+    if (now_ > cfg_.max_sim_time)
+        fail("simulated time exceeded max_sim_time (livelock?)");
+    ++fiber_switches_;
+    return next_tid;
+}
+
+void
+SimMachine::dispatch()
+{
+    const int self = current_tid_;
+    const int next_tid = pick_next();
+    if (next_tid == self)
+        return; // run-ahead: still the earliest event, so keep running
+    ThreadHot& from = hot_[static_cast<std::size_t>(self)];
+    if (next_tid < 0) {
+        // The death sweep retired every thread, this one included: hand
+        // the host thread back to run_timed(), never to return here.
+        from.fiber->yield();
+        return;
+    }
+    current_tid_ = next_tid;
+    switched_out_ = &from;
+    from.fiber->switch_to(*hot_[static_cast<std::size_t>(next_tid)].fiber);
+    note_switched_in();
+}
+
+void
+SimMachine::fail(std::string what)
+{
+    if (current_tid_ < 0)
+        panic_with_diagnosis(what);
+    diagnosis_ = std::move(what);
+    hot_[static_cast<std::size_t>(current_tid_)].fiber->yield();
+    NUCA_PANIC("failed fiber resumed");
 }
 
 void

@@ -260,6 +260,13 @@ class SimMachine
     SimMemory& memory() { return memory_; }
     const SimMemory& memory() const { return memory_; }
 
+    /**
+     * Scheduling picks made during the run: one each time the scheduler
+     * chose the thread to run next (timed mode: after every blocking
+     * operation, and once per thread finish). A pick is not necessarily a
+     * host stack switch — a timed-mode pick that chooses the thread that
+     * just blocked lets it run ahead on its own stack.
+     */
     std::uint64_t fiber_switches() const { return fiber_switches_; }
 
     /**
@@ -331,9 +338,10 @@ class SimMachine
         SimTime wake = 0;
         Fiber* fiber = nullptr; // owned by the cold SimThread
         /** Where the fiber's stack is suspended (timed mode; mirrors
-         *  Fiber::suspended_sp after every yield). Lets the resume-path
-         *  prefetches below read this record only, instead of chasing a
-         *  dependent load through the cold Fiber object first. */
+         *  Fiber::suspended_sp after every switch away from it, see
+         *  note_switched_in). Lets the resume-path prefetches below read
+         *  this record only, instead of chasing a dependent load through
+         *  the cold Fiber object first. */
         const void* resume_sp = nullptr;
         std::uint32_t waiting_line = MemRef::kInvalid; // diagnostics only
         ThreadState state = ThreadState::Runnable;
@@ -345,7 +353,7 @@ class SimMachine
 
     /**
      * Start pulling a suspended thread's host-side resume state into cache
-     * ahead of an imminent Fiber::resume(). At 1024 simulated threads
+     * ahead of an imminent switch into its fiber. At 1024 simulated threads
      * (big-topology runs) the per-thread state cannot all stay resident,
      * so every switch otherwise begins with serial demand misses on the
      * Fiber object, the thread's SimContext, the saved register frame and
@@ -357,7 +365,7 @@ class SimMachine
     {
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
         const ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
-        // The Fiber object itself: resume() reads and writes its switch
+        // The Fiber object itself: the switch reads and writes its switch
         // state before touching the stack.
         __builtin_prefetch(hot.fiber);
         // The SimContext the resumed lock code immediately returns into
@@ -367,8 +375,8 @@ class SimMachine
         if (sp == nullptr)
             return; // running, or a platform without fast switches
         // Cover the saved register frame plus the first frames of the
-        // suspended call chain (yield -> engine -> lock code) that
-        // resume() pops straight through. Eight lines: enough to hide the
+        // suspended call chain (switch -> engine -> lock code) that the
+        // switch pops straight through. Eight lines: enough to hide the
         // switch-path misses, few enough not to saturate the core's fill
         // buffers and stall the caller. Prefetches that hit in cache cost
         // ~a cycle, so the small shapes don't pay for this.
@@ -404,8 +412,41 @@ class SimMachine
      */
     void decision_point(SimContext& ctx, PendingOp op);
 
-    /** The timing-driven scheduling loop (no Scheduler installed). */
+    /**
+     * Timed mode (no Scheduler installed): seed the ready queue, enter the
+     * first pick, and retire each fiber that finishes. Everything in
+     * between runs on the fibers themselves, through dispatch().
+     */
     void run_timed();
+
+    /**
+     * Timed mode: choose the next thread to run — retire injected deaths,
+     * diagnose a deadlock, advance the clock to the pick's wake time, run
+     * the watchdog and time-limit checks, and count the pick. Returns its
+     * tid, or -1 once every thread is done.
+     */
+    int pick_next();
+
+    /**
+     * Timed mode, called on the current thread's fiber once it is re-keyed
+     * in (or removed from) the ready queue: pick_next(), then either keep
+     * running when the pick is this thread (run-ahead), or switch straight
+     * into the picked fiber.
+     */
+    void dispatch();
+
+    /**
+     * Run first on a fiber entered by a direct switch: record where the
+     * fiber it replaced is suspended, so that ThreadHot::resume_sp stays
+     * exact for the prefetches.
+     */
+    void note_switched_in()
+    {
+        if (switched_out_ == nullptr)
+            return;
+        switched_out_->resume_sp = switched_out_->fiber->suspended_sp();
+        switched_out_ = nullptr;
+    }
 
     /** The controlled scheduling loop (Scheduler installed). */
     void run_controlled();
@@ -435,6 +476,15 @@ class SimMachine
      */
     [[noreturn]] void panic_with_diagnosis(const std::string& what) const;
 
+    /**
+     * panic_with_diagnosis() from a timed-mode pick. On a fiber (a
+     * dispatch() pick) the diagnosis is first handed back to run_timed():
+     * exiting from a fiber stack would run the host thread's exit-time
+     * destructors underneath it, and the stack pool's unmap the very slab
+     * that stack was carved from.
+     */
+    [[noreturn]] void fail(std::string what);
+
     SimThread& current();
 
     Topology topo_;
@@ -454,6 +504,13 @@ class SimMachine
     std::vector<bool> cpu_used_;
     SimTime now_ = 0;
     int current_tid_ = -1;
+    /** Threads retired so far (timed mode; finished or died). */
+    std::size_t done_ = 0;
+    /** Timed mode: the thread a direct switch just left, until the
+     *  fiber switched into records its resume_sp (note_switched_in). */
+    ThreadHot* switched_out_ = nullptr;
+    /** Timed mode: a failure raised on a fiber, for run_timed() (fail). */
+    std::string diagnosis_;
     bool running_ = false;
     bool ran_ = false;
     std::uint64_t fiber_switches_ = 0;

@@ -135,7 +135,9 @@ Fiber::Fiber(Entry entry, std::size_t stack_bytes)
         NUCA_PANIC("getcontext failed");
     context_.uc_stack.ss_sp = stack_;
     context_.uc_stack.ss_size = stack_bytes;
-    context_.uc_link = &caller_;
+    // run() never falls off the end: it switches to its (possibly
+    // inherited) resumer itself, so there is no fixed uc_link to return to.
+    context_.uc_link = nullptr;
 
     // makecontext only passes ints, so split `this` across two of them.
     const auto self = reinterpret_cast<std::uintptr_t>(this);
@@ -174,16 +176,20 @@ Fiber::run()
 {
     entry_();
     finished_ = true;
+    inside_ = false;
 #ifdef NUCALOCK_TSAN_FIBERS
     // The switch below bypasses yield(), so announce it here.
     __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
+    // Final switch back to the resumer, inherited if this fiber was entered
+    // by switch_to(). The fiber is never entered again (resume() and
+    // switch_to() reject finished fibers), so its saved state is write-only.
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
-    // Final switch back to the resumer; the fiber is never entered again
-    // (resume() asserts !finished_), so the saved sp is write-only.
     nucalock_fiber_swap(&switch_sp_, caller_sp_);
+#else
+    setcontext(caller_);
+    NUCA_PANIC("setcontext back to the resumer failed");
 #endif
-    // ucontext path: falling off the end returns to uc_link (== caller_).
 }
 
 void
@@ -191,33 +197,62 @@ Fiber::resume()
 {
     NUCA_ASSERT(!finished_, "resume of finished fiber");
     NUCA_ASSERT(!inside_, "recursive resume");
-    started_ = true;
     inside_ = true;
 #ifdef NUCALOCK_TSAN_FIBERS
     tsan_caller_ = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
+    // Control comes back here when this fiber, or any fiber it handed the
+    // host thread to with switch_to(), yields or finishes. Whichever it is
+    // cleared its own inside_ on the way out, so nothing after the switch
+    // may touch this fiber's state.
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
     nucalock_fiber_swap(&caller_sp_, switch_sp_);
 #else
-    if (swapcontext(&caller_, &context_) != 0)
+    caller_ = &resumer_;
+    if (swapcontext(&resumer_, &context_) != 0)
         NUCA_PANIC("swapcontext into fiber failed");
 #endif
-    inside_ = false;
 }
 
 void
 Fiber::yield()
 {
     NUCA_ASSERT(inside_, "yield outside of fiber");
+    inside_ = false;
 #ifdef NUCALOCK_TSAN_FIBERS
     __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
     nucalock_fiber_swap(&switch_sp_, caller_sp_);
 #else
-    if (swapcontext(&context_, &caller_) != 0)
+    if (swapcontext(&context_, caller_) != 0)
         NUCA_PANIC("swapcontext out of fiber failed");
+#endif
+}
+
+void
+Fiber::switch_to(Fiber& next)
+{
+    NUCA_ASSERT(inside_, "switch_to outside of fiber");
+    NUCA_ASSERT(!next.finished_, "switch_to into finished fiber");
+    NUCA_ASSERT(!next.inside_, "switch_to into running fiber");
+    inside_ = false;
+    next.inside_ = true;
+    // One stack switch instead of yield() + resume(): @p next takes over
+    // this fiber's resumer (and TSan's view of it), so the chain unwinds to
+    // the original resume() whichever fiber eventually yields or finishes.
+#ifdef NUCALOCK_TSAN_FIBERS
+    next.tsan_caller_ = tsan_caller_;
+    __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+#ifdef NUCALOCK_FIBER_FAST_SWITCH
+    next.caller_sp_ = caller_sp_;
+    nucalock_fiber_swap(&switch_sp_, next.switch_sp_);
+#else
+    next.caller_ = caller_;
+    if (swapcontext(&context_, &next.context_) != 0)
+        NUCA_PANIC("swapcontext between fibers failed");
 #endif
 }
 

@@ -3,8 +3,11 @@
  * Cooperative fibers for simulated threads.
  *
  * Each simulated thread runs its program on a fiber; blocking simulator
- * operations (memory accesses, delays) switch back to the scheduler, so the
- * same straight-line lock code runs unmodified under simulation.
+ * operations (memory accesses, delays) suspend it, so the same
+ * straight-line lock code runs unmodified under simulation. A fiber either
+ * yields back to its resumer or hands the host thread straight to another
+ * fiber (switch_to), which is how the timed engine dispatches events
+ * without a round trip through its scheduling loop.
  *
  * On x86-64 Linux the switch is ~20 instructions of hand-rolled register
  * save/restore (callee-saved GPRs + stack pointer). glibc's swapcontext
@@ -34,10 +37,11 @@ extern "C" void nucalock_fiber_entry(void* fiber);
 namespace nucalock::sim {
 
 /**
- * A single cooperative fiber. Not thread-safe: resume() and yield() must be
- * called from one host thread (the simulator is single-threaded by design —
- * that is what makes runs deterministic). Distinct fibers may live on
- * distinct host threads (the Executor runs whole machines per worker).
+ * A single cooperative fiber. Not thread-safe: resume(), yield() and
+ * switch_to() must be called from one host thread (the simulator is
+ * single-threaded by design — that is what makes runs deterministic).
+ * Distinct fibers may live on distinct host threads (the Executor runs
+ * whole machines per worker).
  */
 class Fiber
 {
@@ -55,12 +59,22 @@ class Fiber
 
     /**
      * Switch into the fiber; returns when the fiber calls yield() or its
-     * entry function returns. Must not be called on a finished fiber.
+     * entry function returns — or when a fiber it handed over to with
+     * switch_to() does. Must not be called on a finished fiber.
      */
     void resume();
 
     /** Called from inside the fiber: switch back to the resumer. */
     void yield();
+
+    /**
+     * Called from inside the fiber: suspend it and enter @p next directly,
+     * without passing through the resumer. @p next inherits this fiber's
+     * resumer, so its yield() (or its finish) returns to the resume() that
+     * entered the chain. This fiber continues when something later resumes
+     * or switches to it. @p next must be neither finished nor running.
+     */
+    void switch_to(Fiber& next);
 
     /** True once the entry function has returned. */
     bool finished() const { return finished_; }
@@ -68,7 +82,7 @@ class Fiber
     /**
      * Host stack pointer the fiber is suspended at (fast-switch builds;
      * nullptr elsewhere or while the fiber is running). The engine caches
-     * this in its hot per-thread record right after each yield so that its
+     * this in its hot per-thread record right after each switch so that its
      * resume-path prefetches read one flat array instead of chasing
      * ThreadHot -> Fiber -> stack through two dependent cold misses.
      */
@@ -99,9 +113,9 @@ class Fiber
     void* caller_sp_ = nullptr; // resumer's stack pointer while inside
 #else
     ucontext_t context_{};
-    ucontext_t caller_{};
+    ucontext_t resumer_{};         // saved by this fiber's resume()
+    ucontext_t* caller_ = nullptr; // where yield() returns (maybe inherited)
 #endif
-    bool started_ = false;
     bool finished_ = false;
     bool inside_ = false;
     void* tsan_fiber_ = nullptr;  // TSan's view of this fiber (TSan only)

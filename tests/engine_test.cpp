@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -244,7 +246,45 @@ TEST(Engine, FiberSwitchesCounted)
         ctx.delay_ns(1);
     });
     m.run();
-    EXPECT_GE(m.fiber_switches(), 3u); // two yields plus completion
+    // One pick to start the thread, one after each delay. Both delay picks
+    // are run-ahead (the only thread keeps running) and still count.
+    EXPECT_EQ(m.fiber_switches(), 3u);
+}
+
+TEST(Engine, RunAheadAndDirectSwitchKeepEventOrder)
+{
+    // Host-side execution order of two delaying threads. Picks that choose
+    // the thread that just delayed run ahead on its stack (t1 at 5, t0 at
+    // 20); the others switch fiber to fiber (0->1 at 0, 1->0 at 10, 0->1 at
+    // 55); t0's last pick comes from run_timed() after t1 finishes.
+    SimMachine m(Topology::symmetric(1, 2));
+    std::vector<std::pair<int, SimTime>> order;
+    auto note = [&order](SimContext& ctx) {
+        order.emplace_back(ctx.thread_id(), ctx.now());
+    };
+    m.add_thread(0, [&](SimContext& ctx) {
+        note(ctx);
+        ctx.delay_ns(10);
+        note(ctx);
+        ctx.delay_ns(10);
+        note(ctx);
+        ctx.delay_ns(100);
+        note(ctx);
+    });
+    m.add_thread(1, [&](SimContext& ctx) {
+        note(ctx);
+        ctx.delay_ns(5);
+        note(ctx);
+        ctx.delay_ns(50);
+        note(ctx);
+    });
+    m.run();
+    const std::vector<std::pair<int, SimTime>> expected = {
+        {0, 0}, {1, 0}, {1, 5}, {0, 10}, {0, 20}, {1, 55}, {0, 120}};
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(m.fiber_switches(), 7u);
+    EXPECT_EQ(m.finish_time(0), 120u);
+    EXPECT_EQ(m.finish_time(1), 55u);
 }
 
 TEST(EngineDeathTest, DeadlockIsDiagnosed)
@@ -297,6 +337,42 @@ TEST(EngineDeathTest, DiagnosedFailureUsesDistinctExitCode)
     m.add_thread(0, [&](SimContext& ctx) { ctx.spin_while_equal(flag, 0); });
     EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
                 "deadlock");
+}
+
+TEST(EngineDeathTest, DeadlockParkedFromInsideAFiberIsDiagnosed)
+{
+    // t1 parks last, from its own fiber with nothing left to switch to;
+    // the diagnosis still exits 86 from the host stack, listing both
+    // parked threads.
+    SimMachine m(Topology::symmetric(1, 2));
+    const MemRef flag = m.alloc(0, 0);
+    const MemRef other = m.alloc(0, 0);
+    m.add_thread(0, [&](SimContext& ctx) { ctx.spin_while_equal(flag, 0); });
+    m.add_thread(1, [&](SimContext& ctx) {
+        ctx.delay_ns(1000);
+        ctx.spin_while_equal(other, 0);
+    });
+    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                "deadlock: no runnable thread at t=[0-9]+ ns\n"
+                "  t0 cpu=0 waiting on line 0\n"
+                "  t1 cpu=1 waiting on line 1");
+}
+
+TEST(EngineDeathTest, TimeLimitInsideARunAheadChainIsDiagnosed)
+{
+    // After t1 finishes, t0 is alone: every pick runs it ahead without a
+    // switch, and the one at t=1100 trips the limit.
+    SimConfig cfg;
+    cfg.max_sim_time = 1000;
+    SimMachine m(Topology::symmetric(1, 2), LatencyModel::wildfire(), cfg);
+    m.add_thread(0, [](SimContext& ctx) {
+        while (true)
+            ctx.delay_ns(100);
+    });
+    m.add_thread(1, [](SimContext&) {});
+    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                "simulated time exceeded max_sim_time \\(livelock\\?\\) at "
+                "t=1100 ns");
 }
 
 TEST(EngineDeathTest, DiagnosisJsonReportWritten)

@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests for the ucontext fiber layer.
+ * Unit tests for the cooperative fiber layer (the x86-64 assembly switch,
+ * or ucontext on other platforms): resume/yield, and direct fiber-to-fiber
+ * switches.
  */
 #include <gtest/gtest.h>
 
@@ -103,11 +105,146 @@ TEST(Fiber, DeepStackUsage)
     EXPECT_EQ(result, 100);
 }
 
+TEST(Fiber, SwitchToChainYieldsToOriginalResumer)
+{
+    // A -> B -> C by direct switches; C's yield() lands in the resume()
+    // that entered A. Resuming A later continues it after its switch.
+    std::vector<int> order;
+    Fiber* a = nullptr;
+    Fiber* b = nullptr;
+    Fiber* c = nullptr;
+    Fiber fa([&] {
+        order.push_back(1);
+        a->switch_to(*b);
+        order.push_back(5);
+    });
+    Fiber fb([&] {
+        order.push_back(2);
+        b->switch_to(*c);
+        order.push_back(7);
+    });
+    Fiber fc([&] {
+        order.push_back(3);
+        c->yield();
+        order.push_back(9);
+    });
+    a = &fa;
+    b = &fb;
+    c = &fc;
+
+    fa.resume();
+    order.push_back(4);
+    EXPECT_FALSE(fa.finished());
+    EXPECT_FALSE(fb.finished());
+    EXPECT_FALSE(fc.finished());
+    fa.resume(); // A finishes and returns here
+    order.push_back(6);
+    fb.resume();
+    order.push_back(8);
+    fc.resume();
+    EXPECT_TRUE(fa.finished());
+    EXPECT_TRUE(fb.finished());
+    EXPECT_TRUE(fc.finished());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(Fiber, SwitchedToFiberFinishesIntoResumer)
+{
+    std::vector<int> order;
+    Fiber* a = nullptr;
+    Fiber* b = nullptr;
+    Fiber fa([&] {
+        order.push_back(1);
+        a->switch_to(*b);
+        order.push_back(4);
+    });
+    Fiber fb([&] { order.push_back(2); });
+    a = &fa;
+    b = &fb;
+
+    fa.resume(); // returns when B, entered by A's switch, finishes
+    order.push_back(3);
+    EXPECT_FALSE(fa.finished());
+    EXPECT_TRUE(fb.finished());
+    fa.resume();
+    EXPECT_TRUE(fa.finished());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Fiber, LocalsSurviveAcrossDirectSwitches)
+{
+    // Ping-pong between two fibers by direct switches only; each keeps
+    // its own running total on its own stack.
+    Fiber* a = nullptr;
+    Fiber* b = nullptr;
+    long total_a = 0;
+    long total_b = 0;
+    Fiber fa([&] {
+        long local = 1;
+        for (int i = 0; i < 10; ++i) {
+            local *= 2;
+            a->switch_to(*b);
+        }
+        total_a = local;
+    });
+    Fiber fb([&] {
+        long local = 0;
+        for (int i = 0; i < 10; ++i) {
+            local += 3;
+            b->switch_to(*a);
+        }
+        total_b = local;
+    });
+    a = &fa;
+    b = &fb;
+    fa.resume(); // A finishes after its tenth round, into this resume()
+    EXPECT_TRUE(fa.finished());
+    EXPECT_FALSE(fb.finished());
+    fb.resume();
+    EXPECT_TRUE(fb.finished());
+    EXPECT_EQ(total_a, 1024);
+    EXPECT_EQ(total_b, 30);
+}
+
+#ifdef NUCALOCK_FIBER_FAST_SWITCH
+TEST(Fiber, SuspendedSpIsSetOnTheSwitchedAwayFiber)
+{
+    Fiber* a = nullptr;
+    Fiber* b = nullptr;
+    const void* a_sp_seen_by_b = nullptr;
+    bool b_running_has_no_sp = false;
+    Fiber fa([&] { a->switch_to(*b); });
+    Fiber fb([&] {
+        a_sp_seen_by_b = a->suspended_sp();
+        b_running_has_no_sp = b->suspended_sp() == nullptr;
+    });
+    a = &fa;
+    b = &fb;
+    fa.resume();
+    EXPECT_NE(a_sp_seen_by_b, nullptr);
+    EXPECT_TRUE(b_running_has_no_sp);
+    // A stays suspended where it switched away until something resumes it.
+    EXPECT_EQ(fa.suspended_sp(), a_sp_seen_by_b);
+    fa.resume();
+    EXPECT_TRUE(fa.finished());
+}
+#endif
+
 TEST(FiberDeathTest, ResumeAfterFinishPanics)
 {
     Fiber f([] {});
     f.resume();
     EXPECT_DEATH(f.resume(), "resume of finished fiber");
+}
+
+TEST(FiberDeathTest, SwitchToFinishedFiberPanics)
+{
+    Fiber done([] {});
+    done.resume();
+    Fiber* self = nullptr;
+    Fiber f([&] { self->switch_to(done); });
+    self = &f;
+    EXPECT_DEATH(f.resume(), "switch_to into finished fiber");
 }
 
 TEST(FiberDeathTest, TinyStackRejected)
