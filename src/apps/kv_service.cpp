@@ -154,6 +154,7 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
     result.acquisition_order_hash = order_hash;
     result.sim_memory_accesses = machine.memory().num_accesses();
     result.sim_fiber_switches = machine.fiber_switches();
+    result.sim_run_ahead_picks = machine.run_ahead_picks();
     return outcome;
 }
 

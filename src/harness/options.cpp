@@ -52,6 +52,32 @@ fail(const std::string& message)
     return CliParse{std::nullopt, message};
 }
 
+/**
+ * The "locks:" paragraph of both --help texts: every
+ * locks::all_lock_kinds() name, wrapped, then the RH node limit.
+ */
+std::string
+lock_list_usage()
+{
+    // Wrapped at 64 columns, continuation lines aligned under the names.
+    constexpr std::size_t kWidth = 64;
+    std::vector<std::string> words;
+    for (locks::LockKind kind : locks::all_lock_kinds())
+        words.emplace_back(locks::lock_name(kind));
+    words.emplace_back("(RH: --nodes<=2)");
+    std::string out = "locks:";
+    std::size_t column = out.size();
+    for (const std::string& word : words) {
+        if (column + 1 + word.size() > kWidth) {
+            out += "\n      ";
+            column = 6;
+        }
+        out += ' ' + word;
+        column += 1 + word.size();
+    }
+    return out + '\n';
+}
+
 } // namespace
 
 std::optional<ShapeSpec>
@@ -117,10 +143,8 @@ cli_usage()
            "\n"
            "--shape=NxC is shorthand for --nodes=N --cpus-per-node=C; the\n"
            "simulator scales to 64x16 = 1024 simulated cpus.\n"
-           "\n"
-           "locks: TATAS TATAS_EXP TICKET ANDERSON MCS CLH RH HBO HBO_GT\n"
-           "       HBO_GT_SD HBO_HIER REACTIVE COHORT CLH_TRY ADAPTIVE\n"
-           "       (RH: --nodes<=2)\n"
+           "\n" +
+           lock_list_usage() +
            "\n"
            "--faults takes '+'-separated presets (new bench only): holder,\n"
            "publish, spinner, spike, stall, death, holderdeath, chaos,\n"
@@ -131,6 +155,51 @@ cli_usage()
            "the --kv-* knobs (keys, stripes, read/write mix, Zipf skew,\n"
            "ops per thread, resize storms). Any SPLASH-2 descriptor name\n"
            "(e.g. --app=Raytrace) runs that model instead.\n";
+}
+
+std::string
+prof_usage()
+{
+    return "nucaprof — profile a lock microbenchmark run through the "
+           "observability probes\n"
+           "\n"
+           "usage: nucaprof [--bench=new|traditional|app] [--lock=NAME|ALL]\n"
+           "                [--nodes=N] [--cpus-per-node=N] [--threads=N]\n"
+           "                [--critical-work=INTS] [--private-work=ITERS]\n"
+           "                [--iterations=N] [--nuca-ratio=R] [--seed=S]\n"
+           "                [--traffic] [--json=PATH] [--trace=PATH]\n"
+           "                [--memtrace=PATH] [--jobs=N]\n"
+           "                [--app=kv] [--kv-keys=N] [--kv-stripes=N]\n"
+           "                [--kv-read-pct=P] [--kv-write-pct=P]\n"
+           "                [--kv-scan-len=N] [--kv-skew=S] [--kv-ops=N]\n"
+           "                [--kv-storms=N]\n"
+           "       nucaprof --check-schema=REPORT.json\n"
+           "       nucaprof --robustness=REPORT.json\n"
+           "       nucaprof --diff=A.json,B.json\n"
+           "       nucaprof --counters\n"
+           "\n" +
+           lock_list_usage() +
+           "\n"
+           "--traffic prints the coherence-traffic attribution tables\n"
+           "(per-phase local/global transactions per acquisition);\n"
+           "--json writes the nucalock-bench-report v6 document (- = "
+           "stdout);\n"
+           "--trace needs a single --lock and writes Chrome trace_event "
+           "JSON\nwith link-utilisation counter tracks; --memtrace needs a "
+           "single\n--lock and writes the raw access trace CSV (1M-event "
+           "cap).\n"
+           "\n"
+           "--bench=app profiles the KV-service application model (the\n"
+           "sharded striped-map store; only --app=kv) through the same\n"
+           "probes: per-stripe locks show up as separate attribution rows\n"
+           "in --traffic, and --json adds the v6 per-run structs object.\n"
+           "\n"
+           "--counters probes perf_event availability on this host: one\n"
+           "line per hardware event (available / multiplexed / denied with\n"
+           "the perf_event_paranoid level / unsupported). Exit 0 when at\n"
+           "least one event counts, 1 when none do. --diff strips the\n"
+           "nondeterministic host and native_traffic objects before\n"
+           "comparing.\n";
 }
 
 CliParse

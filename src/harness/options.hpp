@@ -147,8 +147,11 @@ parse_shape_list(const std::string& text);
  */
 CliParse parse_cli(const std::vector<std::string>& args);
 
-/** The --help text. */
+/** The nucabench --help text. */
 std::string cli_usage();
+
+/** The nucaprof --help text (nucaprof parses with parse_cli too). */
+std::string prof_usage();
 
 } // namespace nucalock::harness
 

@@ -68,6 +68,12 @@ struct BenchResult
      */
     std::uint64_t sim_fiber_switches = 0;
     /**
+     * The picks among sim_fiber_switches that let the thread which just
+     * blocked run ahead with no stack switch
+     * (SimMachine::run_ahead_picks). Not written into the JSON report.
+     */
+    std::uint64_t sim_run_ahead_picks = 0;
+    /**
      * Host wall-clock nanoseconds spent inside SimMachine::run() alone —
      * the event-processing loop, excluding machine construction, fiber
      * and stack allocation, and result extraction. The only host-varying

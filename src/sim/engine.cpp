@@ -12,6 +12,10 @@
 
 namespace nucalock::sim {
 
+static_assert(ReadyQueue::kMaxThreads >=
+                  static_cast<std::size_t>(SimMemory::kMaxCpus),
+              "every simulated cpu's thread needs a ready-queue tid");
+
 namespace {
 
 SchedOp
@@ -180,6 +184,9 @@ SimMachine::SimMachine(Topology topo, LatencyModel lat, SimConfig cfg)
       node_gates_(static_cast<std::size_t>(topo_.num_nodes())),
       cpu_used_(static_cast<std::size_t>(topo_.num_cpus()), false)
 {
+    NUCA_ASSERT(cfg_.max_sim_time < ReadyQueue::kMaxWake, "max_sim_time ",
+                cfg_.max_sim_time, " ns is beyond the ready queue's keys (< ",
+                ReadyQueue::kMaxWake, " ns)");
 }
 
 SimMachine::~SimMachine() = default;
@@ -314,6 +321,16 @@ SimMachine::block_until(SimContext& ctx, SimTime t)
                          *threads_[static_cast<std::size_t>(ctx.tid_)], t)
                    : t;
     hot.state = ThreadState::Runnable;
+    // The running thread is not in the ready queue. While it is still the
+    // earliest event (ties broken by tid, as in the queue) it keeps running
+    // on its own stack, and the queue is not written. With faults installed
+    // it always goes through the queue — insert, death sweep, pick — so
+    // fault plans see the same sequence of death checks.
+    if (injector_ == nullptr && ready_.before_top(ctx.tid_, hot.wake)) {
+        ++run_ahead_picks_;
+        advance_to(hot.wake);
+        return;
+    }
     ready_.push_or_update(ctx.tid_, hot.wake);
     dispatch();
 }
@@ -332,7 +349,6 @@ SimMachine::wait_on(SimContext& ctx, MemRef ref, std::uint64_t v)
         hot.fiber->yield(); // back to run_controlled
         return;
     }
-    ready_.remove(ctx.tid_);
     dispatch();
 }
 
@@ -373,9 +389,8 @@ SimMachine::wake_watchers(MemRef ref, SimTime t)
             wake_batch_.push_back(ReadyQueue::Entry{hot.wake, tid});
         }
     }
-    // A release wakes every spinner of the line at once (the refill storm);
-    // one bulk insert restores the heap in a single pass instead of one
-    // sift per woken thread.
+    // A release wakes every spinner of the line at once (the refill storm),
+    // which enters the ready queue as one batch.
     if (scheduler_ == nullptr)
         ready_.push_bulk(wake_batch_.data(), wake_batch_.size());
 }
@@ -541,7 +556,6 @@ SimMachine::run_timed()
         if (hot.fiber->finished()) {
             hot.state = ThreadState::Done;
             threads_[static_cast<std::size_t>(ran)]->finish = now_;
-            ready_.remove(ran);
             ++done_;
         }
     }
@@ -556,27 +570,32 @@ SimMachine::pick_next()
             return -1;
     }
     // The runnable thread with the earliest wake time, ties broken by
-    // thread id (determinism): the ready queue's top. Waiting threads
-    // (wake == infinity) are not in the queue; wake_watchers reinserts
-    // them. The queue is maintained at every state change, so the pick
-    // is O(1) instead of the old per-event scan over all threads.
+    // thread id (determinism): the ready queue's top, which leaves the
+    // queue while it runs. Waiting threads (wake == infinity) are not in
+    // the queue either; wake_watchers reinserts them.
     if (ready_.empty())
         fail("deadlock: no runnable thread");
     const int next_tid = ready_.top_tid();
-    const ThreadHot& next = hot_[static_cast<std::size_t>(next_tid)];
+    ready_.remove(next_tid);
     // Overlap the picked fiber's cold-stack misses with the watchdog and
     // time-limit bookkeeping below (see prefetch_resume_state). A run-ahead
     // pick is the running thread itself, whose state is already hot.
     if (next_tid != current_tid_)
         prefetch_resume_state(next_tid);
-    // Also start on the likely pick after this one: timer wakes
-    // (backoff/pause expiries) never pass through wake_watchers, so this
-    // peek is the only chance to give them a whole event's worth of
-    // prefetch distance.
-    if (const int follow = ready_.runner_up_tid(); follow >= 0)
-        prefetch_resume_state(follow);
-    NUCA_ASSERT(next.wake >= now_, "time went backwards");
-    now_ = next.wake;
+    // Also start on the likely pick after this one, the new top: timer
+    // wakes (backoff/pause expiries) never pass through wake_watchers, so
+    // this is their only early notice.
+    if (!ready_.empty())
+        prefetch_resume_state(ready_.top_tid());
+    advance_to(hot_[static_cast<std::size_t>(next_tid)].wake);
+    return next_tid;
+}
+
+void
+SimMachine::advance_to(SimTime wake)
+{
+    NUCA_ASSERT(wake >= now_, "time went backwards");
+    now_ = wake;
     if (checker_ != nullptr && checker_->watchdog_expired(now_))
         fail("progress watchdog expired: threads are waiting but no "
              "critical-section activity for " +
@@ -584,7 +603,6 @@ SimMachine::pick_next()
     if (now_ > cfg_.max_sim_time)
         fail("simulated time exceeded max_sim_time (livelock?)");
     ++fiber_switches_;
-    return next_tid;
 }
 
 void
@@ -592,8 +610,12 @@ SimMachine::dispatch()
 {
     const int self = current_tid_;
     const int next_tid = pick_next();
-    if (next_tid == self)
-        return; // run-ahead: still the earliest event, so keep running
+    if (next_tid == self) {
+        // Faults installed: block_until queued this thread, and it is
+        // still the earliest event, so it keeps running.
+        ++run_ahead_picks_;
+        return;
+    }
     ThreadHot& from = hot_[static_cast<std::size_t>(self)];
     if (next_tid < 0) {
         // The death sweep retired every thread, this one included: hand

@@ -270,6 +270,13 @@ class SimMachine
     std::uint64_t fiber_switches() const { return fiber_switches_; }
 
     /**
+     * The timed-mode picks among fiber_switches() that chose the thread
+     * which had just blocked: it ran ahead on its own stack, with no
+     * switch (and, without faults installed, no ready-queue write).
+     */
+    std::uint64_t run_ahead_picks() const { return run_ahead_picks_; }
+
+    /**
      * Install a fault injector (non-owning; nullptr uninstalls). Must be
      * set before run(). Also routes the injector's link-spike penalty into
      * the memory system's global link.
@@ -421,17 +428,25 @@ class SimMachine
 
     /**
      * Timed mode: choose the next thread to run — retire injected deaths,
-     * diagnose a deadlock, advance the clock to the pick's wake time, run
-     * the watchdog and time-limit checks, and count the pick. Returns its
-     * tid, or -1 once every thread is done.
+     * diagnose a deadlock, take the ready queue's top out of the queue
+     * (the running thread is never queued), and advance_to() its wake
+     * time. Returns its tid, or -1 once every thread is done.
      */
     int pick_next();
 
     /**
-     * Timed mode, called on the current thread's fiber once it is re-keyed
-     * in (or removed from) the ready queue: pick_next(), then either keep
-     * running when the pick is this thread (run-ahead), or switch straight
-     * into the picked fiber.
+     * Timed mode, for every pick: advance the clock to the picked thread's
+     * wake time, run the watchdog and time-limit checks, and count the
+     * pick.
+     */
+    void advance_to(SimTime wake);
+
+    /**
+     * Timed mode, called on the current thread's fiber when it cannot run
+     * ahead: after block_until() queued it, or wait_on() parked it.
+     * pick_next(), then switch straight into the picked fiber — or keep
+     * running when the pick is this thread, which happens only with faults
+     * installed (block_until() then always queues it).
      */
     void dispatch();
 
@@ -451,7 +466,11 @@ class SimMachine
     /** The controlled scheduling loop (Scheduler installed). */
     void run_controlled();
 
-    /** Block the current thread until simulated time @p t. */
+    /**
+     * Block the current thread until simulated time @p t. Timed mode, no
+     * faults installed: when (t, tid) still precedes the ready queue's top,
+     * the thread runs ahead at once, and the queue is left as it is.
+     */
     void block_until(SimContext& ctx, SimTime t);
 
     /** Block the current thread on a watcher for @p ref (value @p v). */
@@ -494,7 +513,8 @@ class SimMachine
     std::vector<std::unique_ptr<SimThread>> threads_;
     /** Hot scheduling state by tid (see ThreadHot). */
     std::vector<ThreadHot> hot_;
-    /** Runnable threads by (wake, tid); maintained only in timed mode. */
+    /** Runnable threads by (wake, tid), apart from the running one;
+     *  maintained only in timed mode. */
     ReadyQueue ready_;
     /** Reused by wake_watchers (see SimMemory::take_watchers). */
     std::vector<int> watcher_scratch_;
@@ -514,6 +534,7 @@ class SimMachine
     bool running_ = false;
     bool ran_ = false;
     std::uint64_t fiber_switches_ = 0;
+    std::uint64_t run_ahead_picks_ = 0;
     std::uint64_t sched_steps_ = 0;
     StopReason stop_ = StopReason::Completed;
     FaultInjector* injector_ = nullptr;   // non-owning

@@ -1,27 +1,34 @@
 /**
  * @file
- * Indexed min-heap of runnable simulated threads, keyed (wake, tid).
+ * Runnable simulated threads keyed (wake, tid), as a tid-indexed winner
+ * (tournament) tree.
  *
  * run_timed() used to pick the next thread with a linear scan over every
- * thread per event — O(T) per event, the engine's hottest loop. The
- * ReadyQueue replaces that with a 4-ary heap plus a tid->heap-slot index so
- * membership updates (block, wake, death) are O(log T) and the pick is O(1).
- * The heap is 4-ary rather than binary for the big-topology shapes: at 1024
- * runnable threads a sift walks 5 levels instead of 10, and the four
- * children of a node share a cache line (16-byte entries).
+ * thread per event. Here each thread owns one leaf holding its packed key
+ * `(wake << kTidBits) | tid`, or kAbsent while it is not queued; every
+ * internal node holds the smaller key of its two children, so the root is
+ * the pick. An update writes the leaf and climbs to the root carrying the
+ * running minimum, reading only siblings: log2(leaves) steps with no
+ * data-dependent branch (5 at 28 threads, 10 at 1024). The whole tree is
+ * 16 bytes per leaf.
  *
  * The ordering is exactly the scan's: earliest wake first, ties broken by
  * lowest tid. That tie-break is part of the determinism contract — changing
  * it changes acquisition order hashes (pinned in tests/harness_test.cpp and
- * tests/exec_test.cpp). Heap *shape* is not part of the contract: the pick
- * is always the global minimum key, so arity and insertion strategy are
- * free to change without moving a single extraction.
+ * tests/exec_test.cpp). Packing the tid below the wake makes it one integer
+ * compare.
+ *
+ * Wakes above kMaxWake saturate to it. SimMachine keeps max_sim_time below
+ * kMaxWake, so a saturated key can only reorder picks that already fail the
+ * time limit.
  */
 #ifndef NUCALOCK_SIM_READY_QUEUE_HPP
 #define NUCALOCK_SIM_READY_QUEUE_HPP
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -39,203 +46,117 @@ class ReadyQueue
         int tid;
     };
 
-    /** Empty the queue and size the tid index for @p num_threads. */
+    /** Bits of a key that hold the tid. */
+    static constexpr int kTidBits = 10;
+    /** Thread ids must be below this. */
+    static constexpr std::size_t kMaxThreads = std::size_t{1} << kTidBits;
+    /** Largest wake a key holds exactly; larger wakes saturate to it. */
+    static constexpr SimTime kMaxWake = (~SimTime{0} >> kTidBits) - 1;
+
+    /** Empty the queue and size it for tids below @p num_threads. */
     void
     reset(std::size_t num_threads)
     {
-        heap_.clear();
-        heap_.reserve(num_threads);
-        pos_.assign(num_threads, kAbsent);
+        NUCA_ASSERT(num_threads <= kMaxThreads, "ReadyQueue holds at most ",
+                    kMaxThreads, " threads, asked for ", num_threads);
+        leaves_ = std::bit_ceil(std::max<std::size_t>(num_threads, 1));
+        tree_.assign(2 * leaves_, kAbsent);
+        size_ = 0;
     }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
-
-    bool
-    contains(int tid) const
-    {
-        return pos_[static_cast<std::size_t>(tid)] != kAbsent;
-    }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    bool contains(int tid) const { return leaf(tid) != kAbsent; }
 
     /** Thread id with the smallest (wake, tid). Queue must be non-empty. */
     int
     top_tid() const
     {
-        NUCA_ASSERT(!heap_.empty(), "top of empty ReadyQueue");
-        return heap_[0].tid;
+        NUCA_ASSERT(!empty(), "top of empty ReadyQueue");
+        return static_cast<int>(tree_[1] & (kMaxThreads - 1));
     }
 
-    /** Wake time of top_tid(). Queue must be non-empty. */
+    /** Wake time of top_tid() (saturated). Queue must be non-empty. */
     SimTime
     top_wake() const
     {
-        NUCA_ASSERT(!heap_.empty(), "top of empty ReadyQueue");
-        return heap_[0].wake;
+        NUCA_ASSERT(!empty(), "top of empty ReadyQueue");
+        return tree_[1] >> kTidBits;
     }
 
     /**
-     * Thread id of the likely next pick after top_tid(): the least of the
-     * root's children, which is exactly the entry that surfaces if the top
-     * leaves or moves later. The engine uses it purely as a prefetch hint
-     * one event ahead (timer wakes get no watcher-wake prefetch, so this
-     * is their only early notice); being a hint, staleness is harmless.
-     * Returns -1 when fewer than two entries are queued.
+     * Whether @p tid at @p wake would be picked before the current top;
+     * true on an empty queue. Reads the root only — the engine's run-ahead
+     * test for the running thread, which is not queued.
      */
-    int
-    runner_up_tid() const
+    bool
+    before_top(int tid, SimTime wake) const
     {
-        const std::size_t n = heap_.size();
-        if (n < 2)
-            return -1;
-        const std::size_t last = std::min(std::size_t{1} + kArity, n);
-        std::size_t best = 1;
-        for (std::size_t c = 2; c < last; ++c)
-            if (before(heap_[c], heap_[best]))
-                best = c;
-        return heap_[best].tid;
+        return key(wake, tid) < tree_[1];
     }
 
     /** Insert @p tid with key @p wake, or re-key it if already present. */
     void
     push_or_update(int tid, SimTime wake)
     {
-        std::size_t& slot = pos_[static_cast<std::size_t>(tid)];
-        if (slot == kAbsent) {
-            slot = heap_.size();
-            heap_.push_back(Entry{wake, tid});
-            sift_up(heap_.size() - 1);
-            return;
-        }
-        const SimTime old = heap_[slot].wake;
-        heap_[slot].wake = wake;
-        if (wake < old)
-            sift_up(slot);
-        else if (wake > old)
-            sift_down(slot);
+        size_ += leaf(tid) == kAbsent;
+        climb(tid, key(wake, tid));
     }
 
     /**
-     * Insert (or re-key) a whole batch at once — the watcher-wake-storm
-     * path, where a single release readies every spinner of a line.
-     *
-     * Extraction order is unaffected by how the batch is inserted: a heap's
-     * pop sequence depends only on the set of (wake, tid) keys, and the
-     * tie-break on tid makes every key distinct, so any valid heap of the
-     * same keys pops identically. That frees this path to append all new
-     * entries first and restore the heap property once — O(k + log-sum)
-     * sift-ups for small batches, one O(n) Floyd build when the batch
-     * rivals the heap size — instead of k full push calls.
+     * Insert (or re-key) a whole batch — the watcher-wake-storm path,
+     * where a single release readies every spinner of a line. Each entry
+     * costs one climb; the picks equal those of the same push_or_update()
+     * calls.
      */
     void
     push_bulk(const Entry* entries, std::size_t count)
     {
-        // Re-key entries already queued first (rare — a woken thread that
-        // was preempted rather than blocked), while the heap invariant
-        // still holds everywhere.
-        for (std::size_t i = 0; i < count; ++i) {
-            if (pos_[static_cast<std::size_t>(entries[i].tid)] != kAbsent)
-                push_or_update(entries[i].tid, entries[i].wake);
-        }
-        const std::size_t old_size = heap_.size();
-        for (std::size_t i = 0; i < count; ++i) {
-            const Entry& e = entries[i];
-            std::size_t& slot = pos_[static_cast<std::size_t>(e.tid)];
-            if (slot != kAbsent)
-                continue;
-            slot = heap_.size();
-            heap_.push_back(e);
-        }
-        const std::size_t appended = heap_.size() - old_size;
-        if (appended == 0)
-            return;
-        if (appended >= old_size) {
-            // Batch dominates: rebuild bottom-up in linear time. The last
-            // internal node is the parent of the last slot.
-            for (std::size_t i = (heap_.size() + kArity - 2) / kArity;
-                 i-- > 0;)
-                sift_down(i);
-        } else {
-            for (std::size_t i = old_size; i < heap_.size(); ++i)
-                sift_up(i);
-        }
+        for (std::size_t i = 0; i < count; ++i)
+            push_or_update(entries[i].tid, entries[i].wake);
     }
 
     /** Remove @p tid if present; no-op otherwise. */
     void
     remove(int tid)
     {
-        const std::size_t slot = pos_[static_cast<std::size_t>(tid)];
-        if (slot == kAbsent)
-            return;
-        pos_[static_cast<std::size_t>(tid)] = kAbsent;
-        const std::size_t last = heap_.size() - 1;
-        if (slot != last) {
-            heap_[slot] = heap_[last];
-            pos_[static_cast<std::size_t>(heap_[slot].tid)] = slot;
-        }
-        heap_.pop_back();
-        if (slot < heap_.size()) {
-            // The moved-in entry may need to go either direction. If
-            // sift_up moves it, whatever lands on @p slot is a former
-            // ancestor whose subtree is already ordered, so the following
-            // sift_down is a no-op; otherwise sift_down fixes the subtree.
-            sift_up(slot);
-            sift_down(slot);
-        }
+        size_ -= leaf(tid) != kAbsent;
+        climb(tid, kAbsent);
     }
 
   private:
-    static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-    static constexpr std::size_t kArity = 4;
+    /** Key of an absent thread; above every real key (see kMaxWake). */
+    static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
 
-    static bool
-    before(const Entry& a, const Entry& b)
+    static std::uint64_t
+    key(SimTime wake, int tid)
     {
-        return a.wake < b.wake || (a.wake == b.wake && a.tid < b.tid);
+        return std::min(wake, kMaxWake) << kTidBits |
+               static_cast<std::uint64_t>(tid);
     }
 
-    void
-    sift_up(std::size_t i)
+    std::uint64_t
+    leaf(int tid) const
     {
-        while (i > 0) {
-            const std::size_t parent = (i - 1) / kArity;
-            if (!before(heap_[i], heap_[parent]))
-                break;
-            swap_slots(i, parent);
-            i = parent;
+        return tree_[leaves_ + static_cast<std::size_t>(tid)];
+    }
+
+    /** Write @p k into @p tid's leaf and recompute every ancestor. */
+    void
+    climb(int tid, std::uint64_t k)
+    {
+        std::uint64_t* const t = tree_.data();
+        std::size_t i = leaves_ + static_cast<std::size_t>(tid);
+        t[i] = k;
+        for (; i > 1; i >>= 1) {
+            k = std::min(k, t[i ^ 1]);
+            t[i >> 1] = k;
         }
     }
 
-    void
-    sift_down(std::size_t i)
-    {
-        const std::size_t n = heap_.size();
-        while (true) {
-            const std::size_t first = kArity * i + 1;
-            if (first >= n)
-                return;
-            const std::size_t last = std::min(first + kArity, n);
-            std::size_t best = i;
-            for (std::size_t c = first; c < last; ++c)
-                if (before(heap_[c], heap_[best]))
-                    best = c;
-            if (best == i)
-                return;
-            swap_slots(i, best);
-            i = best;
-        }
-    }
-
-    void
-    swap_slots(std::size_t a, std::size_t b)
-    {
-        std::swap(heap_[a], heap_[b]);
-        pos_[static_cast<std::size_t>(heap_[a].tid)] = a;
-        pos_[static_cast<std::size_t>(heap_[b].tid)] = b;
-    }
-
-    std::vector<Entry> heap_;
-    std::vector<std::size_t> pos_; // tid -> heap slot, kAbsent when out
+    std::vector<std::uint64_t> tree_; // [1] = root, [leaves_ + tid] = leaf
+    std::size_t leaves_ = 0;          // a power of two
+    std::size_t size_ = 0;
 };
 
 } // namespace nucalock::sim

@@ -249,6 +249,7 @@ TEST(Engine, FiberSwitchesCounted)
     // One pick to start the thread, one after each delay. Both delay picks
     // are run-ahead (the only thread keeps running) and still count.
     EXPECT_EQ(m.fiber_switches(), 3u);
+    EXPECT_EQ(m.run_ahead_picks(), 2u);
 }
 
 TEST(Engine, RunAheadAndDirectSwitchKeepEventOrder)
@@ -283,8 +284,43 @@ TEST(Engine, RunAheadAndDirectSwitchKeepEventOrder)
         {0, 0}, {1, 0}, {1, 5}, {0, 10}, {0, 20}, {1, 55}, {0, 120}};
     EXPECT_EQ(order, expected);
     EXPECT_EQ(m.fiber_switches(), 7u);
+    EXPECT_EQ(m.run_ahead_picks(), 2u);
     EXPECT_EQ(m.finish_time(0), 120u);
     EXPECT_EQ(m.finish_time(1), 55u);
+}
+
+TEST(Engine, EqualWakeRunsAheadOnlyBelowTheTopsTid)
+{
+    // Both threads reach t=10 and t=20. At 10 t0 is running and t1 is the
+    // queue's top: t0's lower tid wins the tie, so it runs ahead. At 20 t1
+    // is running and t0 is the top: t1 loses the tie and switches to t0.
+    SimMachine m(Topology::symmetric(1, 2));
+    std::vector<std::pair<int, SimTime>> order;
+    auto note = [&order](SimContext& ctx) {
+        order.emplace_back(ctx.thread_id(), ctx.now());
+    };
+    m.add_thread(0, [&](SimContext& ctx) {
+        note(ctx);
+        ctx.delay_ns(5);
+        note(ctx);
+        ctx.delay_ns(5);
+        note(ctx);
+        ctx.delay_ns(10);
+        note(ctx);
+    });
+    m.add_thread(1, [&](SimContext& ctx) {
+        note(ctx);
+        ctx.delay_ns(10);
+        note(ctx);
+        ctx.delay_ns(10);
+        note(ctx);
+    });
+    m.run();
+    const std::vector<std::pair<int, SimTime>> expected = {
+        {0, 0}, {1, 0}, {0, 5}, {0, 10}, {1, 10}, {0, 20}, {1, 20}};
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(m.fiber_switches(), 7u);
+    EXPECT_EQ(m.run_ahead_picks(), 1u);
 }
 
 TEST(EngineDeathTest, DeadlockIsDiagnosed)
@@ -328,6 +364,20 @@ TEST(EngineDeathTest, LivelockGuardFires)
             ctx.delay_ns(100);
     });
     EXPECT_DEATH(m.run(), "max_sim_time");
+}
+
+TEST(EngineDeathTest, MaxSimTimeBeyondTheQueueKeysRejected)
+{
+    // Ready-queue keys saturate at ReadyQueue::kMaxWake; a time limit below
+    // it makes every saturated wake fail when picked, as it must.
+    SimConfig cfg;
+    cfg.max_sim_time = ReadyQueue::kMaxWake;
+    EXPECT_DEATH(SimMachine(Topology::symmetric(1, 2),
+                            LatencyModel::wildfire(), cfg),
+                 "max_sim_time [0-9]+ ns is beyond the ready queue's keys");
+    cfg.max_sim_time = ReadyQueue::kMaxWake - 1;
+    SimMachine m(Topology::symmetric(1, 2), LatencyModel::wildfire(), cfg);
+    EXPECT_EQ(m.config().max_sim_time, ReadyQueue::kMaxWake - 1);
 }
 
 TEST(EngineDeathTest, DiagnosedFailureUsesDistinctExitCode)

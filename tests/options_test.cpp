@@ -4,6 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
+
 #include "harness/options.hpp"
 #include "locks/any_lock.hpp"
 
@@ -62,6 +66,32 @@ TEST(Options, HelpFlag)
 {
     EXPECT_TRUE(parse_cli({"--help"}).options->help);
     EXPECT_NE(cli_usage().find("nucabench"), std::string::npos);
+}
+
+/** Whitespace-separated words of @p usage's "locks:" paragraph. */
+std::set<std::string>
+usage_lock_words(const std::string& usage)
+{
+    const std::size_t begin = usage.find("\nlocks:");
+    const std::size_t end = usage.find("\n\n", begin);
+    std::istringstream paragraph(usage.substr(begin, end - begin));
+    std::set<std::string> words;
+    for (std::string word; paragraph >> word;)
+        words.insert(word);
+    return words;
+}
+
+TEST(Options, UsageTextsListEveryLock)
+{
+    // Whole words: "HBO" must not pass on the strength of "HBO_GT".
+    for (const std::string& usage : {cli_usage(), prof_usage()}) {
+        const std::set<std::string> words = usage_lock_words(usage);
+        for (auto kind : nucalock::locks::all_lock_kinds())
+            EXPECT_TRUE(words.count(nucalock::locks::lock_name(kind)))
+                << nucalock::locks::lock_name(kind) << " missing from\n"
+                << usage;
+    }
+    EXPECT_NE(prof_usage().find("nucaprof"), std::string::npos);
 }
 
 TEST(Options, RejectsUnknownKey)

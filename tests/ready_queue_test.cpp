@@ -1,10 +1,11 @@
 /**
  * @file
- * The run_timed() ready queue (sim/ready_queue.hpp) and the fiber stack
- * pool (sim/stack_pool.hpp) — the engine hot-path data structures. The
- * queue's ordering must exactly match the linear scan it replaced:
- * earliest wake first, ties broken by lowest tid. That tie-break is part
- * of the determinism contract pinned in tests/exec_test.cpp.
+ * The run_timed() ready queue (sim/ready_queue.hpp, a winner tree over
+ * packed (wake, tid) keys) and the fiber stack pool (sim/stack_pool.hpp) —
+ * the engine hot-path data structures. The queue's ordering must exactly
+ * match the linear scan it replaced: earliest wake first, ties broken by
+ * lowest tid. That tie-break is part of the determinism contract pinned in
+ * tests/exec_test.cpp.
  */
 #include <algorithm>
 #include <cstdint>
@@ -13,15 +14,17 @@
 #include <gtest/gtest.h>
 
 #include "sim/ready_queue.hpp"
+#include "sim/time.hpp"
 #include "sim/stack_pool.hpp"
 
 namespace {
 
+using nucalock::sim::kTimeInfinity;
 using nucalock::sim::ReadyQueue;
 using nucalock::sim::SimTime;
 using nucalock::sim::StackPool;
 
-/** The scan the heap replaced, as a reference model. */
+/** The scan the queue replaced, as a reference model. */
 struct ScanModel
 {
     struct Entry
@@ -53,15 +56,15 @@ struct ScanModel
     }
 
     /** Earliest wake, lowest tid on ties — run_timed()'s old pick. */
-    int
-    top_tid() const
+    const Entry&
+    top() const
     {
         const Entry* best = nullptr;
         for (const Entry& e : entries)
             if (best == nullptr || e.wake < best->wake ||
                 (e.wake == best->wake && e.tid < best->tid))
                 best = &e;
-        return best->tid;
+        return *best;
     }
 };
 
@@ -108,41 +111,92 @@ TEST(ReadyQueue, UpdateRekeysInPlace)
 
 TEST(ReadyQueue, MatchesLinearScanUnderRandomChurn)
 {
-    constexpr int kThreads = 13;
-    ReadyQueue q;
-    ScanModel model;
-    q.reset(kThreads);
+    // One leaf (T=1), a tree with unused leaves (T=13), and the largest
+    // simulated machine (T=1024, every tid bit in use).
+    for (const int threads : {1, 13, 1024}) {
+        SCOPED_TRACE(threads);
+        ReadyQueue q;
+        ScanModel model;
+        q.reset(static_cast<std::size_t>(threads));
 
-    // Deterministic LCG so the "random" churn replays identically.
-    std::uint64_t state = 0x2545f4914f6cdd1dULL;
-    const auto next = [&state] {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        return state >> 33;
-    };
+        // Deterministic LCG so the "random" churn replays identically.
+        std::uint64_t state = 0x2545f4914f6cdd1dULL;
+        const auto next = [&state] {
+            state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+            return state >> 33;
+        };
 
-    for (int step = 0; step < 5000; ++step) {
-        const int tid = static_cast<int>(next() % kThreads);
-        switch (next() % 3) {
-        case 0:
-        case 1: {
-            // Small wake range on purpose: plenty of ties to exercise the
-            // tid tie-break.
-            const auto wake = static_cast<SimTime>(next() % 8);
-            q.push_or_update(tid, wake);
-            model.push_or_update(tid, wake);
-            break;
+        for (int step = 0; step < 5000; ++step) {
+            const auto tid = static_cast<int>(
+                next() % static_cast<std::uint64_t>(threads));
+            switch (next() % 3) {
+            case 0:
+            case 1: {
+                // Small wake range on purpose: plenty of ties to exercise
+                // the tid tie-break.
+                const auto wake = static_cast<SimTime>(next() % 8);
+                q.push_or_update(tid, wake);
+                model.push_or_update(tid, wake);
+                break;
+            }
+            default:
+                q.remove(tid);
+                model.remove(tid);
+                break;
+            }
+            ASSERT_EQ(q.size(), model.entries.size()) << "step " << step;
+            if (!model.entries.empty()) {
+                ASSERT_EQ(q.top_tid(), model.top().tid) << "step " << step;
+                ASSERT_EQ(q.top_wake(), model.top().wake) << "step " << step;
+            } else {
+                ASSERT_TRUE(q.empty()) << "step " << step;
+            }
         }
-        default:
-            q.remove(tid);
-            model.remove(tid);
-            break;
-        }
-        ASSERT_EQ(q.size(), model.entries.size()) << "step " << step;
-        if (!model.entries.empty())
-            ASSERT_EQ(q.top_tid(), model.top_tid()) << "step " << step;
-        else
-            ASSERT_TRUE(q.empty()) << "step " << step;
     }
+}
+
+TEST(ReadyQueue, KeyBoundaries)
+{
+    ReadyQueue q;
+    q.reset(ReadyQueue::kMaxThreads);
+    // The highest tid ties with tid 0 at an equal wake: lower tid first.
+    q.push_or_update(1023, 7);
+    q.push_or_update(0, 7);
+    EXPECT_EQ(q.top_tid(), 0);
+    EXPECT_FALSE(q.before_top(1023, 7));
+    EXPECT_TRUE(q.before_top(1, 6));
+    q.remove(0);
+    EXPECT_EQ(q.top_tid(), 1023);
+    EXPECT_EQ(q.top_wake(), 7u);
+    EXPECT_TRUE(q.before_top(0, 7));
+
+    // The largest wake a key holds, at the highest tid, is still a queued
+    // key and not the absent one; it orders after a wake one ns earlier.
+    q.push_or_update(1023, ReadyQueue::kMaxWake);
+    q.push_or_update(5, ReadyQueue::kMaxWake - 1);
+    EXPECT_EQ(q.top_tid(), 5);
+    q.remove(5);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_TRUE(q.contains(1023));
+    EXPECT_EQ(q.top_tid(), 1023);
+    EXPECT_EQ(q.top_wake(), ReadyQueue::kMaxWake);
+
+    // Later wakes saturate to kMaxWake and then order by tid.
+    q.push_or_update(6, kTimeInfinity);
+    EXPECT_EQ(q.top_tid(), 6);
+    EXPECT_EQ(q.top_wake(), ReadyQueue::kMaxWake);
+    EXPECT_EQ(q.size(), 2u);
+
+    // An empty queue lets anything run ahead.
+    q.reset(ReadyQueue::kMaxThreads);
+    EXPECT_TRUE(q.before_top(1023, kTimeInfinity));
+}
+
+TEST(ReadyQueueDeathTest, ResetBeyondTidBitsRejected)
+{
+    ReadyQueue q;
+    EXPECT_DEATH(q.reset(ReadyQueue::kMaxThreads + 1),
+                 "ReadyQueue holds at most 1024 threads");
 }
 
 TEST(ReadyQueue, ResetClearsMembership)
