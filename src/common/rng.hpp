@@ -90,6 +90,25 @@ class Xoshiro256
     std::array<std::uint64_t, 4> state_{};
 };
 
+/**
+ * The delay of one backoff of @p b iterations (Fig. 1's backoff()): @p b
+ * itself, or with @p jitter b * [0.75, 1.25) — subtract a quarter, add
+ * back up to a half. Below 4 there is no quarter to jitter, and nothing is
+ * drawn. locks::backoff() and the simulator's stepped polls
+ * (sim/engine.hpp) both draw through this one definition.
+ */
+template <typename Rng>
+std::uint64_t
+backoff_delay(Rng& rng, std::uint64_t b, bool jitter)
+{
+    std::uint64_t d = b;
+    if (jitter && d >= 4) {
+        const std::uint64_t quarter = d / 4;
+        d = d - quarter + rng.next_below(2 * quarter);
+    }
+    return d;
+}
+
 } // namespace nucalock
 
 #endif // NUCALOCK_COMMON_RNG_HPP

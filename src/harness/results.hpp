@@ -74,6 +74,12 @@ struct BenchResult
      */
     std::uint64_t sim_run_ahead_picks = 0;
     /**
+     * The picks among sim_fiber_switches served without entering a fiber:
+     * each ran one stage of a stepped backoff poll
+     * (SimMachine::stepped_picks). Not written into the JSON report.
+     */
+    std::uint64_t sim_stepped_picks = 0;
+    /**
      * Host wall-clock nanoseconds spent inside SimMachine::run() alone —
      * the event-processing loop, excluding machine construction, fiber
      * and stack allocation, and result extraction. The only host-varying

@@ -1,7 +1,8 @@
 /**
  * @file
  * The paper's backoff() helper (Fig. 1, lines 11-16), shared by all
- * backoff-based locks, with optional deterministic jitter.
+ * backoff-based locks, with optional deterministic jitter; and
+ * backoff_poll(), the backoff-and-reload wait built on it.
  */
 #ifndef NUCALOCK_LOCKS_BACKOFF_HPP
 #define NUCALOCK_LOCKS_BACKOFF_HPP
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/rng.hpp"
 #include "locks/context.hpp"
 #include "locks/params.hpp"
 #include "obs/probe.hpp"
@@ -27,17 +29,60 @@ void
 backoff(Ctx& ctx, std::uint32_t* b, std::uint32_t factor, std::uint32_t cap,
         bool jitter, obs::BackoffClass cls = obs::BackoffClass::Generic)
 {
-    std::uint64_t d = *b;
-    if (jitter && d >= 4) {
-        // d * [0.75, 1.25): subtract a quarter, add back up to a half.
-        const std::uint64_t quarter = d / 4;
-        d = d - quarter + ctx.rng().next_below(2 * quarter);
-    }
+    const std::uint64_t d = backoff_delay(ctx.rng(), *b, jitter);
     obs::probe(ctx, obs::LockEvent::BackoffBegin, 0, d,
                static_cast<std::uint64_t>(cls));
     ctx.delay(d);
     obs::probe(ctx, obs::LockEvent::BackoffEnd, 0);
     *b = std::min(*b * factor, cap);
+}
+
+/** What backoff_poll() saw. */
+struct PollResult
+{
+    /** The last value loaded; equal to `held` only when max_polls ran out. */
+    std::uint64_t value = 0;
+    /** Backoff-and-reload rounds run: at least 1, at most max_polls. */
+    std::uint64_t polls = 0;
+};
+
+/** backoff_poll()'s default round limit: none. */
+inline constexpr std::uint64_t kUnlimitedPolls = ~std::uint64_t{0};
+
+/**
+ * The paper's polling wait: repeat { backoff(b); v = load(word); } while
+ * v == @p held, at most @p max_polls rounds (at least one). *b keeps
+ * growing across the rounds, as in the lock's own loop.
+ *
+ * The loop below is the definition. It runs natively, and on the
+ * simulator whenever a Scheduler, FaultInjector or probe sink is
+ * installed. Otherwise the simulator runs the rounds as scheduler steps
+ * (SimContext::stepped_backoff_poll) without entering this thread's fiber
+ * for each backoff and reload: every pick, event, random draw and result
+ * is the same.
+ */
+template <LockContext Ctx>
+PollResult
+backoff_poll(Ctx& ctx, typename Ctx::Ref word, std::uint64_t held,
+             std::uint32_t* b, std::uint32_t factor, std::uint32_t cap,
+             bool jitter, obs::BackoffClass cls = obs::BackoffClass::Generic,
+             std::uint64_t max_polls = kUnlimitedPolls)
+{
+    if constexpr (requires { ctx.can_step_polls(); }) {
+        if (ctx.can_step_polls()) {
+            const auto r = ctx.stepped_backoff_poll(word, held, b, factor, cap,
+                                                    jitter, max_polls);
+            return PollResult{r.value, r.polls};
+        }
+    }
+    PollResult r;
+    do {
+        backoff(ctx, b, factor, cap, jitter, cls);
+        r.value = ctx.load(word);
+        ++r.polls;
+    } while (r.value == held &&
+             (max_polls == kUnlimitedPolls || r.polls < max_polls));
+    return r;
 }
 
 } // namespace nucalock::locks

@@ -40,6 +40,19 @@ hbo_node_token(int node)
 }
 
 /**
+ * The cas half of hbo_poll(): a load read @p v; cas only when that was free.
+ * @return kHboFree when the lock was acquired, else the holder's token.
+ */
+template <LockContext Ctx>
+std::uint64_t
+hbo_claim(Ctx& ctx, typename Ctx::Ref word, std::uint64_t v, std::uint64_t mine)
+{
+    if (v != kHboFree)
+        return v;
+    return ctx.cas(word, kHboFree, mine);
+}
+
+/**
  * One slowpath poll: test with a load, cas only when the lock looked free.
  * @return kHboFree when the lock was acquired, else the holder's token.
  *
@@ -54,10 +67,7 @@ template <LockContext Ctx>
 std::uint64_t
 hbo_poll(Ctx& ctx, typename Ctx::Ref word, std::uint64_t mine)
 {
-    const std::uint64_t v = ctx.load(word);
-    if (v != kHboFree)
-        return v;
-    return ctx.cas(word, kHboFree, mine);
+    return hbo_claim(ctx, word, ctx.load(word), mine);
 }
 
 template <LockContext Ctx>
@@ -112,15 +122,20 @@ class HboLock
     acquire_slowpath(Ctx& ctx, std::uint64_t tmp)
     {
         const std::uint64_t mine = hbo_node_token(ctx.node());
+        // Held in a register across the polls, for their claiming cas.
+        const Ref word = word_;
         while (true) {
             if (tmp == mine) {
                 // Lock is in our node: spin politely with the small backoff.
                 std::uint32_t b = params_.hbo_local.base;
                 while (true) {
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
+                    // Poll while it stays here; cas once it reads free.
+                    tmp = backoff_poll(ctx, word, mine, &b,
+                                       params_.hbo_local.factor,
+                                       params_.hbo_local.cap, params_.jitter,
+                                       obs::BackoffClass::Local)
+                              .value;
+                    tmp = hbo_claim(ctx, word, tmp, mine);
                     if (tmp == kHboFree)
                         return;
                     if (tmp != mine) {
@@ -135,9 +150,12 @@ class HboLock
                 // Lock is in a remote node: back off hard.
                 std::uint32_t b = params_.hbo_remote_base;
                 while (true) {
-                    backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                            obs::BackoffClass::Remote);
-                    tmp = hbo_poll(ctx, word_, mine);
+                    // Poll while the same node holds it.
+                    tmp = backoff_poll(ctx, word, tmp, &b, 2,
+                                       params_.hbo_remote_cap, params_.jitter,
+                                       obs::BackoffClass::Remote)
+                              .value;
+                    tmp = hbo_claim(ctx, word, tmp, mine);
                     if (tmp == kHboFree)
                         return;
                     if (tmp == mine)

@@ -202,16 +202,20 @@ class HboGtLock
     acquire_slowpath(Ctx& ctx, std::uint64_t tmp)
     {
         const std::uint64_t mine = hbo_node_token(ctx.node());
+        // Held in a register across the polls, for their claiming cas.
+        const Ref word = word_;
         while (true) {
             if (tmp == mine) {
                 // Local holder: small backoff (Figure 1 lines 23-35).
                 std::uint32_t b = params_.hbo_local.base;
                 bool migrated = false;
                 while (!migrated) {
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
+                    tmp = backoff_poll(ctx, word, mine, &b,
+                                       params_.hbo_local.factor,
+                                       params_.hbo_local.cap, params_.jitter,
+                                       obs::BackoffClass::Local)
+                              .value;
+                    tmp = hbo_claim(ctx, word, tmp, mine);
                     if (tmp == kHboFree)
                         return;
                     if (tmp != mine) {
@@ -229,9 +233,11 @@ class HboGtLock
                            static_cast<std::uint64_t>(ctx.node()));
                 ctx.store(my_gate(ctx), gate_token_);
                 while (true) {
-                    backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                            obs::BackoffClass::Remote);
-                    tmp = hbo_poll(ctx, word_, mine);
+                    tmp = backoff_poll(ctx, word, tmp, &b, 2,
+                                       params_.hbo_remote_cap, params_.jitter,
+                                       obs::BackoffClass::Remote)
+                              .value;
+                    tmp = hbo_claim(ctx, word, tmp, mine);
                     if (tmp == kHboFree) {
                         obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
                         ctx.store(my_gate(ctx), kGateDummyValue);

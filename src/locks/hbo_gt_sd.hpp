@@ -190,15 +190,19 @@ class HboGtSdLock
     acquire_slowpath(Ctx& ctx, std::uint64_t tmp)
     {
         const std::uint64_t mine = hbo_node_token(ctx.node());
+        // Held in a register across the polls, for their claiming cas.
+        const Ref word = word_;
         while (true) {
             if (tmp == mine) {
                 std::uint32_t b = params_.hbo_local.base;
                 bool migrated = false;
                 while (!migrated) {
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
+                    tmp = backoff_poll(ctx, word, mine, &b,
+                                       params_.hbo_local.factor,
+                                       params_.hbo_local.cap, params_.jitter,
+                                       obs::BackoffClass::Local)
+                              .value;
+                    tmp = hbo_claim(ctx, word, tmp, mine);
                     if (tmp == kHboFree)
                         return;
                     if (tmp != mine) {
@@ -209,7 +213,7 @@ class HboGtSdLock
                     }
                 }
             } else {
-                if (remote_spin(ctx, mine))
+                if (remote_spin(ctx, mine, tmp))
                     return;
             }
             obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
@@ -221,35 +225,46 @@ class HboGtSdLock
     }
 
     /**
-     * Remote spinning with starvation detection (Figure 2).
+     * Remote spinning with starvation detection (Figure 2), entered with
+     * @p tmp, the remote holder's token.
      * @return true when the lock was acquired; false when it migrated to
      *         our node (caller re-dispatches through "restart").
      */
     bool
-    remote_spin(Ctx& ctx, std::uint64_t mine)
+    remote_spin(Ctx& ctx, std::uint64_t mine, std::uint64_t tmp)
     {
         std::uint32_t b = params_.hbo_remote_base;
         std::uint32_t get_angry = 0;
         bool angry = false;
         std::array<bool, kMaxNodes> stopped{};
         int stopped_count = 0;
+        // Held in a register across the polls, for their claiming cas.
+        const Ref word = word_;
 
         obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
                    static_cast<std::uint64_t>(ctx.node()));
         ctx.store(my_gate(ctx), gate_token_);
         while (true) {
+            // Poll while the same remote node holds the lock. Every round
+            // but the last reads that holder, and only counts towards
+            // anger: the polls stop at the one reaching get_angry_limit,
+            // so the anger transition and its gate store happen below.
+            PollResult poll;
             if (angry) {
-                // Measure (1): spin more frequently.
+                // Measure (1): spin more frequently, at the constant local
+                // base.
                 std::uint32_t fast = params_.hbo_local.base;
-                backoff(ctx, &fast, params_.hbo_local.factor,
-                        params_.hbo_local.cap, params_.jitter,
-                        obs::BackoffClass::Local);
+                poll = backoff_poll(ctx, word, tmp, &fast, 1, fast,
+                                    params_.jitter, obs::BackoffClass::Local);
             } else {
-                backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                        obs::BackoffClass::Remote);
+                poll = backoff_poll(ctx, word, tmp, &b, 2,
+                                    params_.hbo_remote_cap, params_.jitter,
+                                    obs::BackoffClass::Remote,
+                                    params_.get_angry_limit - get_angry);
             }
+            get_angry += static_cast<std::uint32_t>(poll.polls - 1);
 
-            const std::uint64_t tmp = hbo_poll(ctx, word_, mine);
+            tmp = hbo_claim(ctx, word, poll.value, mine);
             if (tmp == kHboFree) {
                 if (angry)
                     obs::probe(ctx, obs::LockEvent::AngryExit, word_.token());

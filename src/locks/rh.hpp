@@ -53,30 +53,34 @@ class RhLock
     {
         obs::probe(ctx, obs::LockEvent::AcquireAttempt, flag_[0].token());
         const int n = my_word(ctx);
+        const Ref word = flag_[static_cast<std::size_t>(n)];
         const std::uint64_t me = tid_value(ctx);
         std::uint32_t b = params_.hbo_local.base;
 
+        std::uint64_t v = ctx.load(word);
         while (true) {
-            const std::uint64_t v = ctx.load(flag_[static_cast<std::size_t>(n)]);
             if (v == kFreeValue || v == kLocalFree) {
-                if (ctx.cas(flag_[static_cast<std::size_t>(n)], v, me) == v) {
+                if (ctx.cas(word, v, me) == v) {
                     obs::probe(ctx, obs::LockEvent::Acquired, flag_[0].token());
                     return; // lock obtained through the local word
                 }
-                continue;   // raced; re-read immediately
+                v = ctx.load(word); // raced; re-read immediately
+                continue;
             }
             if (v == kRemote && two_nodes_) {
-                if (ctx.cas(flag_[static_cast<std::size_t>(n)], kRemote, me) ==
-                    kRemote) {
+                if (ctx.cas(word, kRemote, me) == kRemote) {
                     remote_spin(ctx, 1 - n); // we are the node winner
                     obs::probe(ctx, obs::LockEvent::Acquired, flag_[0].token());
                     return;
                 }
+                v = ctx.load(word);
                 continue;
             }
             // Held by (or promised to) a local thread: poll with backoff.
-            backoff(ctx, &b, params_.hbo_local.factor, params_.hbo_local.cap,
-                    params_.jitter, obs::BackoffClass::Local);
+            v = backoff_poll(ctx, word, v, &b, params_.hbo_local.factor,
+                             params_.hbo_local.cap, params_.jitter,
+                             obs::BackoffClass::Local)
+                    .value;
         }
     }
 

@@ -65,14 +65,18 @@ class TatasExpLock
     {
         std::uint32_t b = params_.tatas.base;
         while (true) {
-            backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
-                    params_.jitter);
-            if (ctx.load(word_) != 0)
-                continue; // still looks held: back off again without a tas
-            if (ctx.tas(word_) == 0)
+            // While it still looks held, back off again without a tas.
+            const std::uint64_t v =
+                backoff_poll(ctx, word_, kHeld, &b, params_.tatas.factor,
+                             params_.tatas.cap, params_.jitter)
+                    .value;
+            if (v == 0 && ctx.tas(word_) == 0)
                 return;
         }
     }
+
+    /** The word's value while held: what tas writes. */
+    static constexpr std::uint64_t kHeld = 1;
 
     Ref word_;
     LockParams params_;

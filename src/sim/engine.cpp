@@ -114,6 +114,15 @@ SimContext::delay_ns(SimTime ns)
     machine_->block_until(*this, machine_->now() + ns);
 }
 
+SimContext::PollOutcome
+SimContext::stepped_backoff_poll(Ref word, std::uint64_t held, std::uint32_t* b,
+                                 std::uint32_t factor, std::uint32_t cap,
+                                 bool jitter, std::uint64_t max_polls)
+{
+    return machine_->stepped_poll(*this, word, held, b, factor, cap, jitter,
+                                  max_polls);
+}
+
 void
 SimContext::touch_array(Ref first, std::uint32_t count, bool write)
 {
@@ -301,6 +310,36 @@ SimMachine::disturb_wake(SimThread& thr, SimTime wake)
     return wake;
 }
 
+[[gnu::always_inline]] inline SimTime
+SimMachine::wake_at(int tid, SimTime t)
+{
+    // Skip the cold-struct deref unless preemption/faults can disturb the
+    // wake time (disturb_wake is the identity otherwise).
+    return cfg_.preemption || injector_ != nullptr
+               ? disturb_wake(*threads_[static_cast<std::size_t>(tid)], t)
+               : t;
+}
+
+[[gnu::always_inline]] inline bool
+SimMachine::run_ahead_or_queue(int tid, SimTime t)
+{
+    ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
+    hot.wake = wake_at(tid, t);
+    hot.state = ThreadState::Runnable;
+    // The running thread is not in the ready queue. While it is still the
+    // earliest event it keeps running on its own stack, and the queue is
+    // not written. With faults installed it always goes through the
+    // queue — insert, death sweep, pick — so fault plans see the same
+    // sequence of death checks.
+    if (injector_ == nullptr && ready_.before_top(tid, hot.wake)) {
+        ++run_ahead_picks_;
+        advance_to(hot.wake);
+        return true;
+    }
+    ready_.push_or_update(tid, hot.wake);
+    return false;
+}
+
 void
 SimMachine::block_until(SimContext& ctx, SimTime t)
 {
@@ -313,26 +352,57 @@ SimMachine::block_until(SimContext& ctx, SimTime t)
         return;
     }
     NUCA_ASSERT(ctx.tid_ == current_tid_, "block from non-current thread");
-    ThreadHot& hot = hot_[static_cast<std::size_t>(ctx.tid_)];
-    // Skip the cold-struct deref unless preemption/faults can disturb the
-    // wake time (disturb_wake is the identity otherwise).
-    hot.wake = cfg_.preemption || injector_ != nullptr
-                   ? disturb_wake(
-                         *threads_[static_cast<std::size_t>(ctx.tid_)], t)
-                   : t;
-    hot.state = ThreadState::Runnable;
-    // The running thread is not in the ready queue. While it is still the
-    // earliest event (ties broken by tid, as in the queue) it keeps running
-    // on its own stack, and the queue is not written. With faults installed
-    // it always goes through the queue — insert, death sweep, pick — so
-    // fault plans see the same sequence of death checks.
-    if (injector_ == nullptr && ready_.before_top(ctx.tid_, hot.wake)) {
-        ++run_ahead_picks_;
-        advance_to(hot.wake);
-        return;
+    if (!run_ahead_or_queue(ctx.tid_, t))
+        dispatch();
+}
+
+SimTime
+SimMachine::begin_backoff(PollState& p)
+{
+    // locks::backoff()'s delay and growth, in its order: the jitter draw
+    // comes before the block's preemption draw.
+    const std::uint64_t d = backoff_delay(p.ctx->rng_, p.b, p.jitter);
+    p.b = std::min(p.b * p.factor, p.cap);
+    p.stage = PollStage::Backoff;
+    return now_ + d * lat_.ns_per_delay_iteration;
+}
+
+SimContext::PollOutcome
+SimMachine::stepped_poll(SimContext& ctx, MemRef word, std::uint64_t held,
+                         std::uint32_t* b, std::uint32_t factor,
+                         std::uint32_t cap, bool jitter,
+                         std::uint64_t max_polls)
+{
+    NUCA_ASSERT(steps_polls_ && ctx.tid_ == current_tid_,
+                "stepped poll outside a timed run's current thread");
+    const int tid = ctx.tid_;
+    PollState& p = polls_[static_cast<std::size_t>(tid)];
+    p = PollState{.ctx = &ctx,
+                  .held = held,
+                  .max_polls = max_polls,
+                  .word = word,
+                  .b = *b,
+                  .factor = factor,
+                  .cap = cap,
+                  .jitter = jitter};
+    ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
+    hot.stepped = true;
+    // The first backoff starts here, on the thread's own stack. While the
+    // thread stays the earliest event it steps itself; once it is queued,
+    // the picks step it (step_tops), and its fiber comes back out of
+    // dispatch() only at the pick that ends the poll.
+    SimTime t = begin_backoff(p);
+    while (true) {
+        if (!run_ahead_or_queue(tid, t)) {
+            dispatch();
+            break;
+        }
+        if (!hot.stepped)
+            break; // this run-ahead pick ends the poll
+        t = step_poll(tid);
     }
-    ready_.push_or_update(ctx.tid_, hot.wake);
-    dispatch();
+    *b = p.b;
+    return SimContext::PollOutcome{p.value, p.polls};
 }
 
 void
@@ -395,16 +465,13 @@ SimMachine::wake_watchers(MemRef ref, SimTime t)
         ready_.push_bulk(wake_batch_.data(), wake_batch_.size());
 }
 
-AccessOutcome
-SimMachine::do_access(SimContext& ctx, MemOp op, MemRef ref, std::uint64_t a,
-                      std::uint64_t b)
+[[gnu::always_inline]] inline AccessOutcome
+SimMachine::access_core(SimContext& ctx, ThreadHot& hot, MemOp op, MemRef ref,
+                        std::uint64_t a, std::uint64_t b)
 {
-    if (scheduler_ != nullptr)
-        decision_point(ctx, PendingOp{sched_op_of(op), ref.line});
     // Resolve the attribution phase for this access: a one-shot transient
     // (gate publish store) wins, else a pending wakeup upgrades an acquire
     // spin to the handover burst. Pure labelling — no timing effect.
-    ThreadHot& hot = hot_[static_cast<std::size_t>(ctx.tid_)];
     TxPhase phase = ctx.op_phase_;
     if (ctx.op_transient_ != TxPhase::None) {
         phase = ctx.op_transient_;
@@ -428,6 +495,17 @@ SimMachine::do_access(SimContext& ctx, MemOp op, MemRef ref, std::uint64_t a,
     const AccessOutcome out = memory_.access(op, ctx.cpu_, now_, ref, a, b);
     if (out.wakes_watchers)
         wake_watchers(ref, out.complete);
+    return out;
+}
+
+AccessOutcome
+SimMachine::do_access(SimContext& ctx, MemOp op, MemRef ref, std::uint64_t a,
+                      std::uint64_t b)
+{
+    if (scheduler_ != nullptr)
+        decision_point(ctx, PendingOp{sched_op_of(op), ref.line});
+    const AccessOutcome out = access_core(
+        ctx, hot_[static_cast<std::size_t>(ctx.tid_)], op, ref, a, b);
     SimTime resume = out.complete;
     if (injector_ != nullptr) {
         // Structural fault points: a swap is a queue lock's tail enqueue
@@ -450,6 +528,26 @@ SimMachine::do_access(SimContext& ctx, MemOp op, MemRef ref, std::uint64_t a,
     }
     block_until(ctx, resume);
     return out;
+}
+
+SimTime
+SimMachine::step_poll(int tid)
+{
+    ++stepped_picks_;
+    PollState& p = polls_[static_cast<std::size_t>(tid)];
+    if (p.stage == PollStage::Reload)
+        return begin_backoff(p); // the reload read `held`
+    // The backoff is over: reload the word. When the value changed or the
+    // rounds ran out, the pick at the reload's completion is the one that
+    // enters the thread's fiber, as in the literal loop.
+    ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
+    const AccessOutcome out =
+        access_core(*p.ctx, hot, MemOp::Load, p.word, 0, 0);
+    p.value = out.old_value;
+    ++p.polls;
+    p.stage = PollStage::Reload;
+    hot.stepped = p.value == p.held && p.polls < p.max_polls;
+    return out.complete;
 }
 
 void
@@ -490,6 +588,13 @@ SimMachine::install_scheduler(Scheduler* scheduler)
 }
 
 void
+SimMachine::install_probe(obs::ProbeSink* sink)
+{
+    NUCA_ASSERT(!running_ && !ran_, "install_probe after run()");
+    probe_ = sink;
+}
+
+void
 SimMachine::sweep_deaths(std::size_t& done)
 {
     for (std::size_t i = 0; i < hot_.size(); ++i) {
@@ -519,6 +624,8 @@ SimMachine::run()
     NUCA_ASSERT(!ran_, "run() may only be called once");
     NUCA_ASSERT(!threads_.empty(), "no threads to run");
     running_ = true;
+    steps_polls_ =
+        scheduler_ == nullptr && injector_ == nullptr && probe_ == nullptr;
     if (scheduler_ != nullptr)
         run_controlled();
     else
@@ -534,6 +641,8 @@ SimMachine::run_timed()
     // Also seed resume_sp — before the first entry it is the entry frame
     // the Fiber constructor prepared.
     ready_.reset(threads_.size());
+    if (steps_polls_)
+        polls_.resize(threads_.size());
     for (const auto& thr : threads_) {
         ThreadHot& hot = hot_[static_cast<std::size_t>(thr->tid)];
         hot.resume_sp = thr->fiber->suspended_sp();
@@ -575,7 +684,9 @@ SimMachine::pick_next()
     // the queue either; wake_watchers reinserts them.
     if (ready_.empty())
         fail("deadlock: no runnable thread");
-    const int next_tid = ready_.top_tid();
+    int next_tid = ready_.top_tid();
+    if (hot_[static_cast<std::size_t>(next_tid)].stepped)
+        next_tid = step_tops(next_tid);
     ready_.remove(next_tid);
     // Overlap the picked fiber's cold-stack misses with the watchdog and
     // time-limit bookkeeping below (see prefetch_resume_state). A run-ahead
@@ -589,6 +700,25 @@ SimMachine::pick_next()
         prefetch_resume_state(ready_.top_tid());
     advance_to(hot_[static_cast<std::size_t>(next_tid)].wake);
     return next_tid;
+}
+
+int
+SimMachine::step_tops(int tid)
+{
+    do {
+        ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
+        advance_to(hot.wake);
+        hot.wake = wake_at(tid, step_poll(tid));
+        // The thread stays queued: re-key it in place, one climb. Left at
+        // the top, it is still the earliest event, which block_until()
+        // would have counted as a run-ahead.
+        ready_.push_or_update(tid, hot.wake);
+        const int top = ready_.top_tid();
+        if (top == tid)
+            ++run_ahead_picks_;
+        tid = top;
+    } while (hot_[static_cast<std::size_t>(tid)].stepped);
+    return tid;
 }
 
 void
@@ -612,8 +742,12 @@ SimMachine::dispatch()
     const int next_tid = pick_next();
     if (next_tid == self) {
         // Faults installed: block_until queued this thread, and it is
-        // still the earliest event, so it keeps running.
-        ++run_ahead_picks_;
+        // still the earliest event, so it keeps running. Without faults
+        // only stepped picks (never made with faults) can bring the top
+        // back to this thread, and that is no run-ahead: the literal
+        // loops would have switched to the stepped threads and back here.
+        if (injector_ != nullptr)
+            ++run_ahead_picks_;
         return;
     }
     ThreadHot& from = hot_[static_cast<std::size_t>(self)];

@@ -117,6 +117,35 @@ class SimContext
     /** Busy-wait for @p ns nanoseconds of private work. */
     void delay_ns(SimTime ns);
 
+    /** What stepped_backoff_poll() saw (locks::PollResult's fields). */
+    struct PollOutcome
+    {
+        std::uint64_t value = 0;
+        std::uint64_t polls = 0;
+    };
+
+    /**
+     * Whether stepped_backoff_poll() may run: a timed run with no
+     * Scheduler, FaultInjector or probe sink installed. Those three see
+     * every backoff and load of a poll, so under them locks::backoff_poll()
+     * runs its literal loop.
+     */
+    bool can_step_polls() const;
+
+    /**
+     * locks::backoff_poll() run by the engine: repeat { backoff(*b);
+     * v = load(word); } while v == @p held, at most @p max_polls rounds,
+     * with the jitter drawn from rng(). The poll starts on this thread's
+     * stack; once the thread is queued, the scheduler's picks run each
+     * reload and next backoff themselves, and the fiber is entered again
+     * only when the poll is over. Same picks, events and draws as the
+     * literal loop. Only when can_step_polls().
+     */
+    PollOutcome stepped_backoff_poll(Ref word, std::uint64_t held,
+                                     std::uint32_t* b, std::uint32_t factor,
+                                     std::uint32_t cap, bool jitter,
+                                     std::uint64_t max_polls);
+
     /**
      * Read (and, when @p write, also increment) @p count consecutive words
      * starting at @p first — the critical-section data access of the
@@ -265,16 +294,26 @@ class SimMachine
      * chose the thread to run next (timed mode: after every blocking
      * operation, and once per thread finish). A pick is not necessarily a
      * host stack switch — a timed-mode pick that chooses the thread that
-     * just blocked lets it run ahead on its own stack.
+     * just blocked lets it run ahead on its own stack, and a stepped pick
+     * runs a poll's next stage without entering any fiber.
      */
     std::uint64_t fiber_switches() const { return fiber_switches_; }
 
     /**
      * The timed-mode picks among fiber_switches() that chose the thread
-     * which had just blocked: it ran ahead on its own stack, with no
-     * switch (and, without faults installed, no ready-queue write).
+     * which had just blocked, as the literal code counts them: it runs on
+     * with no switch (and, without faults installed, no ready-queue
+     * write). That includes a stepped poll's thread that stays the
+     * earliest event after its own step.
      */
     std::uint64_t run_ahead_picks() const { return run_ahead_picks_; }
+
+    /**
+     * The timed-mode picks among fiber_switches() served without entering
+     * a fiber: each ran one stage of a stepped backoff poll (a reload, or
+     * the next backoff) instead of returning into the lock code.
+     */
+    std::uint64_t stepped_picks() const { return stepped_picks_; }
 
     /**
      * Install a fault injector (non-owning; nullptr uninstalls). Must be
@@ -290,10 +329,12 @@ class SimMachine
 
     /**
      * Install a lock-event probe sink (non-owning; nullptr uninstalls).
-     * Probes only read the clock and thread identity, so installing a sink
-     * must not change the simulated run (pinned by tests/obs_test.cpp).
+     * Must be set before run(): with a sink, backoff polls run their
+     * literal loops so that every backoff is observed. Probes only read
+     * the clock and thread identity, so installing a sink must not change
+     * the simulated run (pinned by tests/obs_test.cpp).
      */
-    void install_probe(obs::ProbeSink* sink) { probe_ = sink; }
+    void install_probe(obs::ProbeSink* sink);
     obs::ProbeSink* probe() const { return probe_; }
 
     /**
@@ -356,6 +397,38 @@ class SimMachine
          *  post-release re-fetch (attributed Handover when the thread was
          *  in its acquire spin). */
         bool handover_pending = false;
+        /** The thread is inside a stepped backoff poll whose next stage
+         *  is due at `wake`: picking it runs that stage (step_poll)
+         *  instead of entering its fiber. */
+        bool stepped = false;
+    };
+
+    /** Which stage of a stepped poll ends at the thread's wake. */
+    enum class PollStage : std::uint8_t
+    {
+        Backoff, // then reload the word
+        Reload,  // the reload read `held`: back off again
+    };
+
+    /**
+     * A stepped backoff poll: SimContext::stepped_backoff_poll()'s
+     * arguments, its progress, and the stage in flight. Kept by tid in
+     * polls_, next to hot_, and live while ThreadHot::stepped is set (plus
+     * the final reload, whose completion enters the fiber).
+     */
+    struct PollState
+    {
+        SimContext* ctx = nullptr;
+        std::uint64_t held = 0;
+        std::uint64_t value = 0; // the last value loaded
+        std::uint64_t polls = 0;
+        std::uint64_t max_polls = 0;
+        MemRef word;
+        std::uint32_t b = 0;
+        std::uint32_t factor = 0;
+        std::uint32_t cap = 0;
+        bool jitter = false;
+        PollStage stage = PollStage::Backoff;
     };
 
     /**
@@ -414,6 +487,54 @@ class SimMachine
                             std::uint64_t a, std::uint64_t b);
 
     /**
+     * The core of every access, shared by do_access() and a stepped
+     * poll's reload: resolve the attribution phase, label the
+     * transaction, run it (and the trace hook) at now_, and wake the
+     * line's watchers. @p ctx is the issuing thread's, which for a step is
+     * not the running fiber's.
+     */
+    AccessOutcome access_core(SimContext& ctx, ThreadHot& hot, MemOp op,
+                              MemRef ref, std::uint64_t a, std::uint64_t b);
+
+    /** The engine side of SimContext::stepped_backoff_poll(). */
+    SimContext::PollOutcome stepped_poll(SimContext& ctx, MemRef word,
+                                         std::uint64_t held, std::uint32_t* b,
+                                         std::uint32_t factor,
+                                         std::uint32_t cap, bool jitter,
+                                         std::uint64_t max_polls);
+
+    /** Draw the next backoff of @p p and grow its b; the time it ends. */
+    SimTime begin_backoff(PollState& p);
+
+    /**
+     * Run the stage of @p tid's stepped poll that ends now, and count the
+     * stepped pick: after a backoff, the reload (clearing
+     * ThreadHot::stepped when it ends the poll); after a reload that read
+     * `held`, the next backoff. Returns when the new stage ends, before
+     * disturb_wake.
+     */
+    SimTime step_poll(int tid);
+
+    /**
+     * pick_next() when the ready queue's top, @p tid, is stepped: pick it,
+     * step it, re-key it in place, and repeat with the new top. Returns
+     * the first top that is not stepped.
+     */
+    int step_tops(int tid);
+
+    /** A wake at @p t for @p tid, through disturb_wake when preemption
+     *  or faults can move it. */
+    SimTime wake_at(int tid, SimTime t);
+
+    /**
+     * Timed mode: block the current thread @p tid until @p t. While it is
+     * still the earliest event (ties broken by tid, as in the queue) it
+     * runs ahead: the pick is counted, the clock advanced, and true
+     * returned. Otherwise it is queued, and the caller must dispatch().
+     */
+    bool run_ahead_or_queue(int tid, SimTime t);
+
+    /**
      * Controlled mode: advertise the thread's next operation and yield to
      * the scheduler; returns when the scheduler picks this thread again.
      */
@@ -428,9 +549,10 @@ class SimMachine
 
     /**
      * Timed mode: choose the next thread to run — retire injected deaths,
-     * diagnose a deadlock, take the ready queue's top out of the queue
-     * (the running thread is never queued), and advance_to() its wake
-     * time. Returns its tid, or -1 once every thread is done.
+     * diagnose a deadlock, serve the picks of stepped polls at the top
+     * (step_tops), then take the ready queue's top out of the queue (the
+     * running thread is never queued) and advance_to() its wake time.
+     * Returns its tid, or -1 once every thread is done.
      */
     int pick_next();
 
@@ -443,10 +565,12 @@ class SimMachine
 
     /**
      * Timed mode, called on the current thread's fiber when it cannot run
-     * ahead: after block_until() queued it, or wait_on() parked it.
+     * ahead: after run_ahead_or_queue() queued it, or wait_on() parked it.
      * pick_next(), then switch straight into the picked fiber — or keep
-     * running when the pick is this thread, which happens only with faults
-     * installed (block_until() then always queues it).
+     * running when the pick is this thread. That happens with faults
+     * installed (block_until() then always queues it), and counts as a
+     * run-ahead; or after stepped picks brought the top back to it, which
+     * does not (the literal loops would have switched away and back).
      */
     void dispatch();
 
@@ -469,7 +593,8 @@ class SimMachine
     /**
      * Block the current thread until simulated time @p t. Timed mode, no
      * faults installed: when (t, tid) still precedes the ready queue's top,
-     * the thread runs ahead at once, and the queue is left as it is.
+     * the thread runs ahead at once, and the queue is left as it is
+     * (run_ahead_or_queue).
      */
     void block_until(SimContext& ctx, SimTime t);
 
@@ -513,6 +638,9 @@ class SimMachine
     std::vector<std::unique_ptr<SimThread>> threads_;
     /** Hot scheduling state by tid (see ThreadHot). */
     std::vector<ThreadHot> hot_;
+    /** Stepped backoff polls by tid (see PollState); sized by
+     *  run_timed() when polls are stepped. */
+    std::vector<PollState> polls_;
     /** Runnable threads by (wake, tid), apart from the running one;
      *  maintained only in timed mode. */
     ReadyQueue ready_;
@@ -533,8 +661,12 @@ class SimMachine
     std::string diagnosis_;
     bool running_ = false;
     bool ran_ = false;
+    /** Set by run(): timed, with no Scheduler, FaultInjector or probe sink
+     *  (SimContext::can_step_polls). */
+    bool steps_polls_ = false;
     std::uint64_t fiber_switches_ = 0;
     std::uint64_t run_ahead_picks_ = 0;
+    std::uint64_t stepped_picks_ = 0;
     std::uint64_t sched_steps_ = 0;
     StopReason stop_ = StopReason::Completed;
     FaultInjector* injector_ = nullptr;   // non-owning
@@ -542,6 +674,12 @@ class SimMachine
     Scheduler* scheduler_ = nullptr;      // non-owning
     obs::ProbeSink* probe_ = nullptr;     // non-owning
 };
+
+inline bool
+SimContext::can_step_polls() const
+{
+    return machine_->steps_polls_;
+}
 
 /** Value of an idle is_spinning gate (the paper's "dummy value"). */
 inline constexpr std::uint64_t kGateDummy = 0;

@@ -12,7 +12,10 @@
 #include <utility>
 #include <vector>
 
+#include "locks/backoff.hpp"
+#include "obs/probe.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -323,6 +326,92 @@ TEST(Engine, EqualWakeRunsAheadOnlyBelowTheTopsTid)
     EXPECT_EQ(m.run_ahead_picks(), 1u);
 }
 
+/** Counts probe events, so that installing it forces literal polls. */
+class CountingSink final : public obs::ProbeSink
+{
+  public:
+    void on_event(const obs::ProbeRecord&) override { ++events; }
+    std::uint64_t events = 0;
+};
+
+/**
+ * t0 polls a held word with backoff (no jitter) while t1 waits 500 ns and
+ * then stores to it. Returns the (tid, start) of every memory event plus
+ * the (tid, now) points where the thread bodies ran, in host order.
+ */
+std::vector<std::pair<int, SimTime>>
+poll_while_other_stores(SimMachine& m, locks::PollResult& poll,
+                        std::uint32_t& b)
+{
+    std::vector<std::pair<int, SimTime>> order;
+    auto note = [&order](SimContext& ctx) {
+        order.emplace_back(ctx.thread_id(), ctx.now());
+    };
+    m.memory().set_trace_hook([&order](const TraceEvent& e) {
+        order.emplace_back(e.cpu, e.start);
+    });
+    const MemRef word = m.alloc(1, 0);
+    m.add_thread(0, [&](SimContext& ctx) {
+        note(ctx);
+        b = 8;
+        poll = locks::backoff_poll(ctx, word, 1, &b, 2, 64, false);
+        note(ctx);
+    });
+    m.add_thread(1, [&](SimContext& ctx) {
+        note(ctx);
+        ctx.delay_ns(500);
+        ctx.store(word, 0);
+        note(ctx);
+    });
+    m.run();
+    return order;
+}
+
+TEST(Engine, SteppedPollKeepsPickOrderAndCounts)
+{
+    // t0 blocks in its first backoff (8 iterations of 4 ns). t1's dispatch
+    // then steps it without entering its fiber: the reload at 32 (a miss,
+    // done at 413), the 16-iteration backoff, the hit at 477 (done at
+    // 498) and the 32-iteration backoff, each keeping t0 the earliest (3
+    // run-aheads) until t1 is due at 500. That pick of t1 by itself is no
+    // run-ahead. After t1's store, its dispatch steps the reload at 626,
+    // which reads 0; only that reload's completion, picked from
+    // run_timed() once t1 is done, re-enters t0's fiber. 10 picks, 5 of
+    // them stepped.
+    SimMachine m(Topology::symmetric(1, 2));
+    locks::PollResult poll;
+    std::uint32_t b = 0;
+    const std::vector<std::pair<int, SimTime>> order =
+        poll_while_other_stores(m, poll, b);
+    const std::vector<std::pair<int, SimTime>> expected = {
+        {0, 0},   {1, 0},   {0, 32},  {0, 477},
+        {1, 500}, {0, 626}, {1, 986}, {0, 1491}};
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(poll.value, 0u);
+    EXPECT_EQ(poll.polls, 3u);
+    EXPECT_EQ(b, 64u);
+    EXPECT_EQ(m.fiber_switches(), 10u);
+    EXPECT_EQ(m.run_ahead_picks(), 3u);
+    EXPECT_EQ(m.stepped_picks(), 5u);
+
+    // The same run with a sink installed: literal loops, same everything.
+    SimMachine literal(Topology::symmetric(1, 2));
+    CountingSink sink;
+    literal.install_probe(&sink);
+    locks::PollResult literal_poll;
+    std::uint32_t literal_b = 0;
+    EXPECT_EQ(poll_while_other_stores(literal, literal_poll, literal_b),
+              order);
+    EXPECT_EQ(literal_poll.value, poll.value);
+    EXPECT_EQ(literal_poll.polls, poll.polls);
+    EXPECT_EQ(literal_b, b);
+    EXPECT_EQ(literal.fiber_switches(), m.fiber_switches());
+    EXPECT_EQ(literal.run_ahead_picks(), m.run_ahead_picks());
+    EXPECT_EQ(literal.stepped_picks(), 0u);
+    EXPECT_EQ(literal.now(), m.now());
+    EXPECT_GT(sink.events, 0u);
+}
+
 TEST(EngineDeathTest, DeadlockIsDiagnosed)
 {
     SimMachine m(Topology::symmetric(1, 2));
@@ -423,6 +512,38 @@ TEST(EngineDeathTest, TimeLimitInsideARunAheadChainIsDiagnosed)
     EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
                 "simulated time exceeded max_sim_time \\(livelock\\?\\) at "
                 "t=1100 ns");
+}
+
+TEST(EngineDeathTest, TimeLimitInsideASteppedPollIsDiagnosed)
+{
+    // Both threads poll a word nobody writes. Once both are queued, every
+    // pick is a step served inside the dispatching fiber's pick_next(),
+    // and the one past the limit still exits 86 from the host stack.
+    SimConfig cfg;
+    cfg.max_sim_time = 10'000;
+    SimMachine m(Topology::symmetric(1, 2), LatencyModel::wildfire(), cfg);
+    const MemRef word = m.alloc(1, 0);
+    const auto poll_forever = [word](SimContext& ctx) {
+        std::uint32_t b = 64;
+        locks::backoff_poll(ctx, word, 1, &b, 2, 256, true);
+    };
+    m.add_thread(0, poll_forever);
+    m.add_thread(1, poll_forever);
+    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                "simulated time exceeded max_sim_time \\(livelock\\?\\) at "
+                "t=[0-9]+ ns\n"
+                "  t0 cpu=0 runnable, wake=[0-9]+ ns\n"
+                "  t1 cpu=1 runnable, wake=[0-9]+ ns");
+}
+
+TEST(EngineDeathTest, InstallProbeAfterRunRejected)
+{
+    // The probe sink decides, per poll, whether the engine steps it.
+    SimMachine m(Topology::symmetric(1, 2));
+    m.add_thread(0, [](SimContext&) {});
+    m.run();
+    CountingSink sink;
+    EXPECT_DEATH(m.install_probe(&sink), "install_probe after run\\(\\)");
 }
 
 TEST(EngineDeathTest, DiagnosisJsonReportWritten)

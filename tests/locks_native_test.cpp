@@ -320,6 +320,47 @@ TEST(NativeContext, SpinWhileEqualSeesWriterUpdate)
     EXPECT_EQ(observed, 77u);
 }
 
+TEST(NativeContext, BackoffPollIsTheLiteralLoop)
+{
+    NativeMachine machine(Topology::symmetric(1, 2));
+    NativeContext ctx = machine.make_context(0, 0);
+    const NativeRef word = machine.alloc(5);
+
+    // The word does not read `held`: one round, b grown once.
+    std::uint32_t b = 4;
+    PollResult r = backoff_poll(ctx, word, 7, &b, 2, 64, false);
+    EXPECT_EQ(r.value, 5u);
+    EXPECT_EQ(r.polls, 1u);
+    EXPECT_EQ(b, 8u);
+
+    // It reads `held` for good: max_polls rounds, b grown up to the cap.
+    r = backoff_poll(ctx, word, 5, &b, 2, 32, false, obs::BackoffClass::Local,
+                     4);
+    EXPECT_EQ(r.value, 5u);
+    EXPECT_EQ(r.polls, 4u);
+    EXPECT_EQ(b, 32u); // 8 -> 16 -> 32 -> 32 -> 32
+
+    // A writer changes it mid-poll: the poll returns the new value, with b
+    // grown once per round.
+    const NativeRef flag = machine.alloc(1);
+    PollResult seen;
+    std::uint32_t grown = 0;
+    constexpr std::uint32_t kCap = 1u << 20;
+    machine.run_threads(2, Placement::Packed, [&](NativeContext& c, int i) {
+        if (i == 0) {
+            std::uint32_t bb = 1;
+            seen = backoff_poll(c, flag, 1, &bb, 2, kCap, true);
+            grown = bb;
+        } else {
+            c.delay_ns(200'000);
+            c.store(flag, 9);
+        }
+    });
+    EXPECT_EQ(seen.value, 9u);
+    ASSERT_GE(seen.polls, 1u);
+    EXPECT_EQ(grown, seen.polls >= 20 ? kCap : 1u << seen.polls);
+}
+
 TEST(NativeContext, TouchArrayIncrements)
 {
     NativeMachine machine(Topology::symmetric(1, 2));

@@ -8,8 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "harness/newbench.hpp"
 #include "obs/json.hpp"
@@ -444,6 +446,81 @@ small_config(std::uint64_t seed)
     return config;
 }
 
+void
+expect_same_tx(const sim::TxCount& a, const sim::TxCount& b,
+               const std::string& where)
+{
+    EXPECT_EQ(a.local_tx, b.local_tx) << where;
+    EXPECT_EQ(a.global_tx, b.global_tx) << where;
+}
+
+/**
+ * Run @p config bare and with a metrics and timeline sink installed, and
+ * require the same simulated run. Bare, the engine steps the locks'
+ * backoff polls; with a sink they run their literal loops, so this is
+ * also the stepped-vs-literal equivalence check. Compared: order hash,
+ * end and per-thread finish times, traffic and its per-(lock, phase) and
+ * per-node attribution, and the engine's event, pick and run-ahead
+ * counts. Returns the bare run; @p reg holds the probed run's metrics.
+ */
+BenchResult
+expect_probe_neutral(LockKind kind, const NewBenchConfig& config,
+                     MetricsRegistry& reg)
+{
+    const std::string name = locks::lock_name(kind);
+    const BenchResult bare = run_newbench(kind, config);
+
+    TimelineBuilder tb;
+    MultiSink sink;
+    sink.add(&reg);
+    sink.add(&tb);
+    NewBenchConfig probed = config;
+    probed.probe = &sink;
+    const BenchResult observed = run_newbench(kind, probed);
+    reg.finalize();
+
+    EXPECT_EQ(bare.acquisition_order_hash, observed.acquisition_order_hash)
+        << name;
+    EXPECT_EQ(bare.total_time, observed.total_time) << name;
+    EXPECT_EQ(bare.finish_times, observed.finish_times) << name;
+    EXPECT_EQ(bare.traffic.local_tx, observed.traffic.local_tx) << name;
+    EXPECT_EQ(bare.traffic.global_tx, observed.traffic.global_tx) << name;
+    EXPECT_EQ(bare.sim_memory_accesses, observed.sim_memory_accesses) << name;
+    EXPECT_EQ(bare.sim_fiber_switches, observed.sim_fiber_switches) << name;
+    EXPECT_EQ(bare.sim_run_ahead_picks, observed.sim_run_ahead_picks)
+        << name;
+    EXPECT_EQ(observed.sim_stepped_picks, 0u) << name;
+
+    const sim::TrafficAttribution& a = bare.traffic_attribution;
+    const sim::TrafficAttribution& b = observed.traffic_attribution;
+    EXPECT_FALSE(a.per_lock.empty()) << name;
+    EXPECT_EQ(a.per_lock.size(), b.per_lock.size()) << name;
+    for (std::size_t i = 0; i < std::min(a.per_lock.size(), b.per_lock.size());
+         ++i) {
+        EXPECT_EQ(a.per_lock[i].lock_id, b.per_lock[i].lock_id) << name;
+        for (std::size_t p = 0; p < sim::kNumTxPhases; ++p)
+            expect_same_tx(a.per_lock[i].by_phase[p], b.per_lock[i].by_phase[p],
+                           name + " lock row " + std::to_string(i) + " " +
+                               sim::tx_phase_name(static_cast<sim::TxPhase>(p)));
+    }
+    EXPECT_EQ(a.per_node.size(), b.per_node.size()) << name;
+    for (std::size_t n = 0; n < std::min(a.per_node.size(), b.per_node.size());
+         ++n)
+        expect_same_tx(a.per_node[n], b.per_node[n],
+                       name + " node " + std::to_string(n));
+    EXPECT_GT(reg.events_seen(), 0u) << name;
+    return bare;
+}
+
+/** The locks whose acquire loops wait through locks::backoff_poll(). */
+bool
+polls(LockKind kind)
+{
+    return kind == LockKind::TatasExp || kind == LockKind::Rh ||
+           kind == LockKind::Hbo || kind == LockKind::HboGt ||
+           kind == LockKind::HboGtSd;
+}
+
 /**
  * The subsystem's core guarantee, pinned per lock family: enabling probes
  * must not change the simulated run. Identical acquisition order hash,
@@ -457,27 +534,75 @@ TEST(ProbeNeutrality, SimRunIsBitIdenticalWithProbesOn)
           LockKind::Hbo, LockKind::HboGt, LockKind::HboGtSd,
           LockKind::HboHier, LockKind::Reactive, LockKind::Cohort,
           LockKind::ClhTry}) {
-        const BenchResult bare = run_newbench(kind, small_config(7));
-
         MetricsRegistry reg;
-        TimelineBuilder tb;
-        MultiSink sink;
-        sink.add(&reg);
-        sink.add(&tb);
-        NewBenchConfig probed = small_config(7);
-        probed.probe = &sink;
-        const BenchResult observed = run_newbench(kind, probed);
+        const BenchResult bare = expect_probe_neutral(kind, small_config(7), reg);
+        if (polls(kind))
+            EXPECT_GT(bare.sim_stepped_picks, 0u) << locks::lock_name(kind);
+        else
+            EXPECT_EQ(bare.sim_stepped_picks, 0u) << locks::lock_name(kind);
+    }
+}
 
-        EXPECT_EQ(bare.acquisition_order_hash,
-                  observed.acquisition_order_hash)
+/** HBO_GT_SD at the Fig 5 shape (2x14, critical work 2500), long enough
+ *  for node winners to get angry: the stepped remote polls stop at the
+ *  anger limit, and the angry ones poll at the constant local base. */
+TEST(ProbeNeutrality, AngryHboGtSdAtTheFig5Shape)
+{
+    NewBenchConfig config;
+    config.iterations_per_thread = 4;
+    config.critical_work = 2500;
+    MetricsRegistry reg;
+    const BenchResult bare =
+        expect_probe_neutral(LockKind::HboGtSd, config, reg);
+    EXPECT_GT(bare.sim_stepped_picks, bare.sim_fiber_switches / 2);
+    ASSERT_NE(reg.primary(), nullptr);
+    EXPECT_GT(reg.primary()->angry_transitions, 0u);
+}
+
+/** get_angry_limit = 1: every remote poll is the last before anger. */
+TEST(ProbeNeutrality, AngerAtTheFirstRemotePoll)
+{
+    NewBenchConfig config = small_config(11);
+    config.params.get_angry_limit = 1;
+    MetricsRegistry reg;
+    expect_probe_neutral(LockKind::HboGtSd, config, reg);
+    ASSERT_NE(reg.primary(), nullptr);
+    EXPECT_GT(reg.primary()->angry_transitions, 0u);
+}
+
+/** Preemption draws from the same generator as the backoff jitter: a
+ *  stepped poll must interleave the two draws as the literal loop does. */
+TEST(ProbeNeutrality, PreemptedPolls)
+{
+    NewBenchConfig config = small_config(5);
+    config.preemption = true;
+    config.preempt_mean_interval = 20'000;
+    config.preempt_duration = 5'000;
+    for (LockKind kind : {LockKind::TatasExp, LockKind::Rh, LockKind::Hbo,
+                          LockKind::HboGt, LockKind::HboGtSd}) {
+        MetricsRegistry reg;
+        const BenchResult bare = expect_probe_neutral(kind, config, reg);
+        const NewBenchConfig quiet = small_config(5);
+        EXPECT_GT(bare.total_time, run_newbench(kind, quiet).total_time)
             << locks::lock_name(kind);
-        EXPECT_EQ(bare.total_time, observed.total_time)
-            << locks::lock_name(kind);
-        EXPECT_EQ(bare.traffic.local_tx, observed.traffic.local_tx)
-            << locks::lock_name(kind);
-        EXPECT_EQ(bare.traffic.global_tx, observed.traffic.global_tx)
-            << locks::lock_name(kind);
-        EXPECT_GT(reg.events_seen(), 0u) << locks::lock_name(kind);
+    }
+}
+
+/** Eight nodes: a remote poller sees the holder move between other remote
+ *  nodes, which ends a stepped poll on a value that is neither free nor
+ *  ours. */
+TEST(ProbeNeutrality, RemoteHolderChangesAtEightNodes)
+{
+    NewBenchConfig config;
+    config.topology = Topology::symmetric(8, 8);
+    config.threads = 64;
+    config.iterations_per_thread = 4;
+    config.critical_work = 500;
+    config.private_work = 800;
+    for (LockKind kind : {LockKind::Hbo, LockKind::HboGt}) {
+        MetricsRegistry reg;
+        const BenchResult bare = expect_probe_neutral(kind, config, reg);
+        EXPECT_GT(bare.sim_stepped_picks, 0u) << locks::lock_name(kind);
     }
 }
 
