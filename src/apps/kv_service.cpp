@@ -155,7 +155,7 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
     result.sim_memory_accesses = machine.memory().num_accesses();
     result.sim_fiber_switches = machine.fiber_switches();
     result.sim_run_ahead_picks = machine.run_ahead_picks();
-    result.sim_stepped_picks = machine.stepped_picks();
+    result.sim_lazy_picks = machine.lazy_picks();
     return outcome;
 }
 

@@ -94,7 +94,7 @@ class Xoshiro256
  * The delay of one backoff of @p b iterations (Fig. 1's backoff()): @p b
  * itself, or with @p jitter b * [0.75, 1.25) — subtract a quarter, add
  * back up to a half. Below 4 there is no quarter to jitter, and nothing is
- * drawn. locks::backoff() and the simulator's stepped polls
+ * drawn. locks::backoff() and the simulator's lazy polls
  * (sim/engine.hpp) both draw through this one definition.
  */
 template <typename Rng>

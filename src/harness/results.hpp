@@ -68,17 +68,16 @@ struct BenchResult
      */
     std::uint64_t sim_fiber_switches = 0;
     /**
-     * The picks among sim_fiber_switches that let the thread which just
-     * blocked run ahead with no stack switch
+     * The picks among sim_fiber_switches, lazy ones excluded, that let the
+     * thread which just blocked run ahead with no stack switch
      * (SimMachine::run_ahead_picks). Not written into the JSON report.
      */
     std::uint64_t sim_run_ahead_picks = 0;
     /**
-     * The picks among sim_fiber_switches served without entering a fiber:
-     * each ran one stage of a stepped backoff poll
-     * (SimMachine::stepped_picks). Not written into the JSON report.
+     * The picks among sim_fiber_switches that parked backoff polls
+     * skipped (SimMachine::lazy_picks). Not written into the JSON report.
      */
-    std::uint64_t sim_stepped_picks = 0;
+    std::uint64_t sim_lazy_picks = 0;
     /**
      * Host wall-clock nanoseconds spent inside SimMachine::run() alone —
      * the event-processing loop, excluding machine construction, fiber

@@ -100,11 +100,19 @@ class AndersonLock
         const std::uint64_t slot = holder_slot_[tid];
         NUCA_ASSERT(slot < slots_, "release without acquire");
         holder_slot_[tid] = slots_;
+        // Counted while the lock is still held: once the grant below is
+        // posted, the next holder may already be releasing, and counting.
+        const std::uint64_t granted = ++grants_value_;
         const auto next = static_cast<std::uint32_t>((slot + 1) % slots_);
         ctx.store(flags_.at(next), kHasLock);
         // Grant count after the grant itself: a try_acquire that sees the
-        // new count is guaranteed to find its grant flag already set.
-        ctx.store(grants_, ++grants_value_);
+        // new count is guaranteed to find its grant flag already set. What
+        // is left: a release delayed between its two stores until the next
+        // holder has released leaves grants_ one behind, and try_acquire
+        // failing, until the following release. Storing grants_ before the
+        // grant would close that gap, but it moves ANDERSON's simulated
+        // results.
+        ctx.store(grants_, granted);
     }
 
     /** Identity for probes and traffic attribution: the primary word's
@@ -120,7 +128,7 @@ class AndersonLock
     Ref grants_; // completed releases; == ticket when free and settled
     Ref flags_;
     std::vector<std::uint64_t> holder_slot_; // per-thread, lock-protected
-    std::uint64_t grants_value_ = 0;         // shadow of grants_ (holder-only)
+    std::uint64_t grants_value_ = 0;         // shadow of grants_, lock-protected
 };
 
 } // namespace nucalock::locks

@@ -55,11 +55,12 @@ inline constexpr std::uint64_t kUnlimitedPolls = ~std::uint64_t{0};
  * growing across the rounds, as in the lock's own loop.
  *
  * The loop below is the definition. It runs natively, and on the
- * simulator whenever a Scheduler, FaultInjector or probe sink is
- * installed. Otherwise the simulator runs the rounds as scheduler steps
- * (SimContext::stepped_backoff_poll) without entering this thread's fiber
- * for each backoff and reload: every pick, event, random draw and result
- * is the same.
+ * simulator under a finite @p max_polls or whenever a Scheduler,
+ * FaultInjector, probe sink, memtrace hook or armed watchdog is
+ * installed. Otherwise the simulator parks the thread while its cached
+ * copy of the word is valid (SimContext::lazy_backoff_poll) and rolls
+ * the rounds it would spin through forward when another cpu writes the
+ * word: every pick, event, random draw and result is the same.
  */
 template <LockContext Ctx>
 PollResult
@@ -68,10 +69,10 @@ backoff_poll(Ctx& ctx, typename Ctx::Ref word, std::uint64_t held,
              bool jitter, obs::BackoffClass cls = obs::BackoffClass::Generic,
              std::uint64_t max_polls = kUnlimitedPolls)
 {
-    if constexpr (requires { ctx.can_step_polls(); }) {
-        if (ctx.can_step_polls()) {
-            const auto r = ctx.stepped_backoff_poll(word, held, b, factor, cap,
-                                                    jitter, max_polls);
+    if constexpr (requires { ctx.can_park_polls(); }) {
+        if (max_polls == kUnlimitedPolls && ctx.can_park_polls()) {
+            const auto r =
+                ctx.lazy_backoff_poll(word, held, b, factor, cap, jitter);
             return PollResult{r.value, r.polls};
         }
     }

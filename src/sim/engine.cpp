@@ -115,12 +115,11 @@ SimContext::delay_ns(SimTime ns)
 }
 
 SimContext::PollOutcome
-SimContext::stepped_backoff_poll(Ref word, std::uint64_t held, std::uint32_t* b,
-                                 std::uint32_t factor, std::uint32_t cap,
-                                 bool jitter, std::uint64_t max_polls)
+SimContext::lazy_backoff_poll(Ref word, std::uint64_t held, std::uint32_t* b,
+                              std::uint32_t factor, std::uint32_t cap,
+                              bool jitter)
 {
-    return machine_->stepped_poll(*this, word, held, b, factor, cap, jitter,
-                                  max_polls);
+    return machine_->lazy_poll(*this, word, held, b, factor, cap, jitter);
 }
 
 void
@@ -357,52 +356,58 @@ SimMachine::block_until(SimContext& ctx, SimTime t)
 }
 
 SimTime
-SimMachine::begin_backoff(PollState& p)
+SimMachine::backoff_end(PollState& p, SimTime start)
 {
     // locks::backoff()'s delay and growth, in its order: the jitter draw
     // comes before the block's preemption draw.
     const std::uint64_t d = backoff_delay(p.ctx->rng_, p.b, p.jitter);
     p.b = std::min(p.b * p.factor, p.cap);
     p.stage = PollStage::Backoff;
-    return now_ + d * lat_.ns_per_delay_iteration;
+    return start + d * lat_.ns_per_delay_iteration;
 }
 
 SimContext::PollOutcome
-SimMachine::stepped_poll(SimContext& ctx, MemRef word, std::uint64_t held,
-                         std::uint32_t* b, std::uint32_t factor,
-                         std::uint32_t cap, bool jitter,
-                         std::uint64_t max_polls)
+SimMachine::lazy_poll(SimContext& ctx, MemRef word, std::uint64_t held,
+                      std::uint32_t* b, std::uint32_t factor,
+                      std::uint32_t cap, bool jitter)
 {
-    NUCA_ASSERT(steps_polls_ && ctx.tid_ == current_tid_,
-                "stepped poll outside a timed run's current thread");
+    NUCA_ASSERT(parks_polls_ && ctx.tid_ == current_tid_,
+                "lazy poll outside a timed run's current thread");
     const int tid = ctx.tid_;
     PollState& p = polls_[static_cast<std::size_t>(tid)];
     p = PollState{.ctx = &ctx,
-                  .held = held,
-                  .max_polls = max_polls,
-                  .word = word,
                   .b = *b,
                   .factor = factor,
                   .cap = cap,
-                  .jitter = jitter};
+                  .jitter = jitter,
+                  .stage = PollStage::Reload};
     ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
-    hot.stepped = true;
-    // The first backoff starts here, on the thread's own stack. While the
-    // thread stays the earliest event it steps itself; once it is queued,
-    // the picks step it (step_tops), and its fiber comes back out of
-    // dispatch() only at the pick that ends the poll.
-    SimTime t = begin_backoff(p);
     while (true) {
-        if (!run_ahead_or_queue(tid, t)) {
-            dispatch();
-            break;
+        if (p.stage == PollStage::Reload)
+            block_until(ctx, backoff_end(p, now_));
+        // The backoff is over: reload the word.
+        const AccessOutcome out =
+            access_core(ctx, hot, MemOp::Load, word, 0, 0);
+        ++p.polls;
+        if (out.old_value != held) {
+            block_until(ctx, out.complete);
+            *b = p.b;
+            return SimContext::PollOutcome{out.old_value, p.polls};
         }
-        if (!hot.stepped)
-            break; // this run-ahead pick ends the poll
-        t = step_poll(tid);
+        // The reload read `held`, and this cpu's copy of the line stays
+        // valid until another cpu writes it. Until then every reload hits,
+        // so park on the line: that write unparks the poll (unpark_poll),
+        // and the fiber resumes at the end of the stage then in flight.
+        p.stage = PollStage::Reload;
+        hot.wake = wake_at(tid, out.complete);
+        const bool watching = memory_.watch(word, tid, held);
+        NUCA_ASSERT(watching, "a poll parked on a changed word");
+        hot.state = ThreadState::Waiting;
+        hot.waiting_line = word.line;
+        hot.lazy = true;
+        ++parked_polls_;
+        dispatch();
     }
-    *b = p.b;
-    return SimContext::PollOutcome{p.value, p.polls};
 }
 
 void
@@ -435,6 +440,15 @@ SimMachine::wake_watchers(MemRef ref, SimTime t)
         if (hot.state == ThreadState::Done)
             continue; // died (injected fault) while spin-waiting
         NUCA_ASSERT(hot.state == ThreadState::Waiting, "woken thread not waiting");
+        if (hot.lazy) {
+            // A parked poll's copy of the line is gone. Its stages that
+            // come before this write's pick ran as before; the first one
+            // after it is queued. Not a handover: the literal poller never
+            // waited on the line.
+            unpark_poll(tid, now_, current_tid_);
+            wake_batch_.push_back(ReadyQueue::Entry{hot.wake, tid});
+            continue;
+        }
         hot.state = ThreadState::Runnable;
         hot.wake = disturb
                        ? disturb_wake(*threads_[static_cast<std::size_t>(tid)], t)
@@ -530,24 +544,49 @@ SimMachine::do_access(SimContext& ctx, MemOp op, MemRef ref, std::uint64_t a,
     return out;
 }
 
-SimTime
-SimMachine::step_poll(int tid)
+void
+SimMachine::unpark_poll(int tid, SimTime t, int by)
 {
-    ++stepped_picks_;
-    PollState& p = polls_[static_cast<std::size_t>(tid)];
-    if (p.stage == PollStage::Reload)
-        return begin_backoff(p); // the reload read `held`
-    // The backoff is over: reload the word. When the value changed or the
-    // rounds ran out, the pick at the reload's completion is the one that
-    // enters the thread's fiber, as in the literal loop.
     ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
-    const AccessOutcome out =
-        access_core(*p.ctx, hot, MemOp::Load, p.word, 0, 0);
-    p.value = out.old_value;
-    ++p.polls;
-    p.stage = PollStage::Reload;
-    hot.stepped = p.value == p.held && p.polls < p.max_polls;
-    return out.complete;
+    PollState& p = polls_[static_cast<std::size_t>(tid)];
+    hot.state = ThreadState::Runnable;
+    hot.waiting_line = MemRef::kInvalid;
+    hot.lazy = false;
+    --parked_polls_;
+    // Until (t, by) nothing the poller reads has changed, so its stages
+    // depend on its own state alone: the draws from its generator (the
+    // jitter, then preemption through wake_at) and the fixed latency of a
+    // reload that hits in its cache.
+    const SimTime hit = lat_.issue + lat_.cache_hit;
+    std::uint64_t picks = 0;
+    std::uint64_t hits = 0;
+    while (hot.wake < t || (hot.wake == t && tid < by)) {
+        ++picks;
+        if (p.stage == PollStage::Reload) {
+            hot.wake = wake_at(tid, backoff_end(p, hot.wake));
+        } else {
+            ++hits;
+            p.stage = PollStage::Reload;
+            hot.wake = wake_at(tid, hot.wake + hit);
+        }
+    }
+    p.polls += hits;
+    fiber_switches_ += picks;
+    lazy_picks_ += picks;
+    memory_.count_skipped_hits(hits);
+}
+
+void
+SimMachine::unpark_polls_for_time_limit()
+{
+    for (std::size_t i = 0; parked_polls_ != 0; ++i) {
+        ThreadHot& hot = hot_[i];
+        if (!hot.lazy)
+            continue;
+        const int tid = static_cast<int>(i);
+        unpark_poll(tid, cfg_.max_sim_time + 1, 0);
+        ready_.push_or_update(tid, hot.wake);
+    }
 }
 
 void
@@ -624,8 +663,10 @@ SimMachine::run()
     NUCA_ASSERT(!ran_, "run() may only be called once");
     NUCA_ASSERT(!threads_.empty(), "no threads to run");
     running_ = true;
-    steps_polls_ =
-        scheduler_ == nullptr && injector_ == nullptr && probe_ == nullptr;
+    parks_polls_ = scheduler_ == nullptr && injector_ == nullptr &&
+                   probe_ == nullptr && !memory_.has_trace_hook() &&
+                   (checker_ == nullptr ||
+                    checker_->config().watchdog_window_ns == 0);
     if (scheduler_ != nullptr)
         run_controlled();
     else
@@ -641,7 +682,7 @@ SimMachine::run_timed()
     // Also seed resume_sp — before the first entry it is the entry frame
     // the Fiber constructor prepared.
     ready_.reset(threads_.size());
-    if (steps_polls_)
+    if (parks_polls_)
         polls_.resize(threads_.size());
     for (const auto& thr : threads_) {
         ThreadHot& hot = hot_[static_cast<std::size_t>(thr->tid)];
@@ -680,13 +721,18 @@ SimMachine::pick_next()
     }
     // The runnable thread with the earliest wake time, ties broken by
     // thread id (determinism): the ready queue's top, which leaves the
-    // queue while it runs. Waiting threads (wake == infinity) are not in
-    // the queue either; wake_watchers reinserts them.
-    if (ready_.empty())
-        fail("deadlock: no runnable thread");
-    int next_tid = ready_.top_tid();
-    if (hot_[static_cast<std::size_t>(next_tid)].stepped)
-        next_tid = step_tops(next_tid);
+    // queue while it runs. Waiting threads (wake == infinity) and parked
+    // polls are not in the queue either; wake_watchers reinserts them.
+    if (ready_.empty() || ready_.top_wake() > cfg_.max_sim_time) {
+        // No thread, or the time limit. Parked polls are still polling in
+        // the literal loops, so the pick fails the time limit at the
+        // earliest of their picks past it and the top's.
+        if (parked_polls_ != 0)
+            unpark_polls_for_time_limit();
+        if (ready_.empty())
+            fail("deadlock: no runnable thread");
+    }
+    const int next_tid = ready_.top_tid();
     ready_.remove(next_tid);
     // Overlap the picked fiber's cold-stack misses with the watchdog and
     // time-limit bookkeeping below (see prefetch_resume_state). A run-ahead
@@ -700,25 +746,6 @@ SimMachine::pick_next()
         prefetch_resume_state(ready_.top_tid());
     advance_to(hot_[static_cast<std::size_t>(next_tid)].wake);
     return next_tid;
-}
-
-int
-SimMachine::step_tops(int tid)
-{
-    do {
-        ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
-        advance_to(hot.wake);
-        hot.wake = wake_at(tid, step_poll(tid));
-        // The thread stays queued: re-key it in place, one climb. Left at
-        // the top, it is still the earliest event, which block_until()
-        // would have counted as a run-ahead.
-        ready_.push_or_update(tid, hot.wake);
-        const int top = ready_.top_tid();
-        if (top == tid)
-            ++run_ahead_picks_;
-        tid = top;
-    } while (hot_[static_cast<std::size_t>(tid)].stepped);
-    return tid;
 }
 
 void
@@ -742,12 +769,8 @@ SimMachine::dispatch()
     const int next_tid = pick_next();
     if (next_tid == self) {
         // Faults installed: block_until queued this thread, and it is
-        // still the earliest event, so it keeps running. Without faults
-        // only stepped picks (never made with faults) can bring the top
-        // back to this thread, and that is no run-ahead: the literal
-        // loops would have switched to the stepped threads and back here.
-        if (injector_ != nullptr)
-            ++run_ahead_picks_;
+        // still the earliest event, so it keeps running.
+        ++run_ahead_picks_;
         return;
     }
     ThreadHot& from = hot_[static_cast<std::size_t>(self)];

@@ -117,7 +117,7 @@ class SimContext
     /** Busy-wait for @p ns nanoseconds of private work. */
     void delay_ns(SimTime ns);
 
-    /** What stepped_backoff_poll() saw (locks::PollResult's fields). */
+    /** What lazy_backoff_poll() saw (locks::PollResult's fields). */
     struct PollOutcome
     {
         std::uint64_t value = 0;
@@ -125,26 +125,28 @@ class SimContext
     };
 
     /**
-     * Whether stepped_backoff_poll() may run: a timed run with no
-     * Scheduler, FaultInjector or probe sink installed. Those three see
-     * every backoff and load of a poll, so under them locks::backoff_poll()
-     * runs its literal loop.
+     * Whether lazy_backoff_poll() may run: a timed run with no Scheduler,
+     * FaultInjector, probe sink or memtrace hook installed and no armed
+     * watchdog. Each of those sees every backoff and load of a poll, or
+     * every pick's time, so under them locks::backoff_poll() runs its
+     * literal loop.
      */
-    bool can_step_polls() const;
+    bool can_park_polls() const;
 
     /**
-     * locks::backoff_poll() run by the engine: repeat { backoff(*b);
-     * v = load(word); } while v == @p held, at most @p max_polls rounds,
-     * with the jitter drawn from rng(). The poll starts on this thread's
-     * stack; once the thread is queued, the scheduler's picks run each
-     * reload and next backoff themselves, and the fiber is entered again
-     * only when the poll is over. Same picks, events and draws as the
-     * literal loop. Only when can_step_polls().
+     * locks::backoff_poll() with no round limit, run by the engine:
+     * repeat { backoff(*b); v = load(word); } while v == @p held, with the
+     * jitter drawn from rng(). The backoffs and reloads run on this
+     * thread's fiber, except that a reload reading @p held parks the
+     * thread: its copy of the line then stays valid until another cpu
+     * writes it, so its next backoffs and cache-hit reloads depend on its
+     * own state alone. That write rolls them forward and queues the
+     * thread where the literal loop would be. Same picks, events, draws
+     * and result as the literal loop. Only when can_park_polls().
      */
-    PollOutcome stepped_backoff_poll(Ref word, std::uint64_t held,
-                                     std::uint32_t* b, std::uint32_t factor,
-                                     std::uint32_t cap, bool jitter,
-                                     std::uint64_t max_polls);
+    PollOutcome lazy_backoff_poll(Ref word, std::uint64_t held,
+                                  std::uint32_t* b, std::uint32_t factor,
+                                  std::uint32_t cap, bool jitter);
 
     /**
      * Read (and, when @p write, also increment) @p count consecutive words
@@ -290,30 +292,29 @@ class SimMachine
     const SimMemory& memory() const { return memory_; }
 
     /**
-     * Scheduling picks made during the run: one each time the scheduler
-     * chose the thread to run next (timed mode: after every blocking
-     * operation, and once per thread finish). A pick is not necessarily a
-     * host stack switch — a timed-mode pick that chooses the thread that
-     * just blocked lets it run ahead on its own stack, and a stepped pick
-     * runs a poll's next stage without entering any fiber.
+     * Scheduling picks of the run, as the literal code makes them: one
+     * each time the scheduler chooses the thread to run next (timed mode:
+     * after every blocking operation, and once per thread finish). A pick
+     * is not necessarily a host stack switch: a timed-mode pick that
+     * chooses the thread that just blocked lets it run ahead on its own
+     * stack, and the lazy picks are never made at all.
      */
     std::uint64_t fiber_switches() const { return fiber_switches_; }
 
     /**
-     * The timed-mode picks among fiber_switches() that chose the thread
-     * which had just blocked, as the literal code counts them: it runs on
-     * with no switch (and, without faults installed, no ready-queue
-     * write). That includes a stepped poll's thread that stays the
-     * earliest event after its own step.
+     * The timed-mode picks the engine made (lazy picks excluded) that
+     * chose the thread which had just blocked: it runs on with no switch
+     * (and, without faults installed, no ready-queue write).
      */
     std::uint64_t run_ahead_picks() const { return run_ahead_picks_; }
 
     /**
-     * The timed-mode picks among fiber_switches() served without entering
-     * a fiber: each ran one stage of a stepped backoff poll (a reload, or
-     * the next backoff) instead of returning into the lock code.
+     * The picks among fiber_switches() that parked backoff polls skipped:
+     * the ends of the backoffs and cache-hit reloads that the engine
+     * rolled forward without picking the poller (see
+     * SimContext::lazy_backoff_poll).
      */
-    std::uint64_t stepped_picks() const { return stepped_picks_; }
+    std::uint64_t lazy_picks() const { return lazy_picks_; }
 
     /**
      * Install a fault injector (non-owning; nullptr uninstalls). Must be
@@ -397,13 +398,14 @@ class SimMachine
          *  post-release re-fetch (attributed Handover when the thread was
          *  in its acquire spin). */
         bool handover_pending = false;
-        /** The thread is inside a stepped backoff poll whose next stage
-         *  is due at `wake`: picking it runs that stage (step_poll)
-         *  instead of entering its fiber. */
-        bool stepped = false;
+        /** The thread is parked in a lazy backoff poll: Waiting on the
+         *  polled line, outside the ready queue, with `wake` the end of
+         *  the poll's stage in flight. A write by another cpu rolls the
+         *  poll forward (unpark_poll) instead of waking the thread. */
+        bool lazy = false;
     };
 
-    /** Which stage of a stepped poll ends at the thread's wake. */
+    /** Which stage of a lazy poll ends at the thread's wake. */
     enum class PollStage : std::uint8_t
     {
         Backoff, // then reload the word
@@ -411,19 +413,14 @@ class SimMachine
     };
 
     /**
-     * A stepped backoff poll: SimContext::stepped_backoff_poll()'s
+     * What unpark_poll() needs of a lazy backoff poll: its backoff
      * arguments, its progress, and the stage in flight. Kept by tid in
-     * polls_, next to hot_, and live while ThreadHot::stepped is set (plus
-     * the final reload, whose completion enters the fiber).
+     * polls_, next to hot_, and live for the length of the call.
      */
     struct PollState
     {
         SimContext* ctx = nullptr;
-        std::uint64_t held = 0;
-        std::uint64_t value = 0; // the last value loaded
         std::uint64_t polls = 0;
-        std::uint64_t max_polls = 0;
-        MemRef word;
         std::uint32_t b = 0;
         std::uint32_t factor = 0;
         std::uint32_t cap = 0;
@@ -487,40 +484,40 @@ class SimMachine
                             std::uint64_t a, std::uint64_t b);
 
     /**
-     * The core of every access, shared by do_access() and a stepped
-     * poll's reload: resolve the attribution phase, label the
-     * transaction, run it (and the trace hook) at now_, and wake the
-     * line's watchers. @p ctx is the issuing thread's, which for a step is
-     * not the running fiber's.
+     * The core of every access, shared by do_access() and a lazy poll's
+     * reload: resolve the attribution phase, label the transaction, run
+     * it (and the trace hook) at now_, and wake the line's watchers.
      */
     AccessOutcome access_core(SimContext& ctx, ThreadHot& hot, MemOp op,
                               MemRef ref, std::uint64_t a, std::uint64_t b);
 
-    /** The engine side of SimContext::stepped_backoff_poll(). */
-    SimContext::PollOutcome stepped_poll(SimContext& ctx, MemRef word,
-                                         std::uint64_t held, std::uint32_t* b,
-                                         std::uint32_t factor,
-                                         std::uint32_t cap, bool jitter,
-                                         std::uint64_t max_polls);
+    /** The engine side of SimContext::lazy_backoff_poll(). */
+    SimContext::PollOutcome lazy_poll(SimContext& ctx, MemRef word,
+                                      std::uint64_t held, std::uint32_t* b,
+                                      std::uint32_t factor, std::uint32_t cap,
+                                      bool jitter);
 
-    /** Draw the next backoff of @p p and grow its b; the time it ends. */
-    SimTime begin_backoff(PollState& p);
-
-    /**
-     * Run the stage of @p tid's stepped poll that ends now, and count the
-     * stepped pick: after a backoff, the reload (clearing
-     * ThreadHot::stepped when it ends the poll); after a reload that read
-     * `held`, the next backoff. Returns when the new stage ends, before
-     * disturb_wake.
-     */
-    SimTime step_poll(int tid);
+    /** Draw the next backoff of @p p, starting at @p start, and grow its
+     *  b; the time it ends. */
+    SimTime backoff_end(PollState& p, SimTime start);
 
     /**
-     * pick_next() when the ready queue's top, @p tid, is stepped: pick it,
-     * step it, re-key it in place, and repeat with the new top. Returns
-     * the first top that is not stepped.
+     * End @p tid's parked poll: run, as lazy picks, the stages that the
+     * (wake, tid) order puts before (@p t, @p by). A reload's end draws
+     * the next backoff; a backoff's end is a reload that hits in the
+     * poller's cache. Leaves `wake` at the end of the first stage after
+     * (t, by), for the caller to queue the thread there.
      */
-    int step_tops(int tid);
+    void unpark_poll(int tid, SimTime t, int by);
+
+    /**
+     * pick_next() while polls are parked, when its pick would find no
+     * thread or fail the time limit: unpark every parked poll up to
+     * (max_sim_time + 1, 0) and queue it, so that the pick fails where
+     * the literal loops' pick fails. The pollers stay on their lines'
+     * watcher lists; the run ends at that pick.
+     */
+    void unpark_polls_for_time_limit();
 
     /** A wake at @p t for @p tid, through disturb_wake when preemption
      *  or faults can move it. */
@@ -549,10 +546,10 @@ class SimMachine
 
     /**
      * Timed mode: choose the next thread to run — retire injected deaths,
-     * diagnose a deadlock, serve the picks of stepped polls at the top
-     * (step_tops), then take the ready queue's top out of the queue (the
-     * running thread is never queued) and advance_to() its wake time.
-     * Returns its tid, or -1 once every thread is done.
+     * diagnose a deadlock (or, with polls parked, the time limit), then
+     * take the ready queue's top out of the queue (the running thread is
+     * never queued) and advance_to() its wake time. Returns its tid, or
+     * -1 once every thread is done.
      */
     int pick_next();
 
@@ -567,10 +564,8 @@ class SimMachine
      * Timed mode, called on the current thread's fiber when it cannot run
      * ahead: after run_ahead_or_queue() queued it, or wait_on() parked it.
      * pick_next(), then switch straight into the picked fiber — or keep
-     * running when the pick is this thread. That happens with faults
-     * installed (block_until() then always queues it), and counts as a
-     * run-ahead; or after stepped picks brought the top back to it, which
-     * does not (the literal loops would have switched away and back).
+     * running when the pick is this thread, a run-ahead. That happens only
+     * with faults installed: block_until() then always queues it.
      */
     void dispatch();
 
@@ -601,7 +596,8 @@ class SimMachine
     /** Block the current thread on a watcher for @p ref (value @p v). */
     void wait_on(SimContext& ctx, MemRef ref, std::uint64_t v);
 
-    /** Wake the watchers of @p ref at time @p t. */
+    /** Wake the watchers of @p ref at time @p t, and unpark the polls
+     *  parked on it at the current pick. */
     void wake_watchers(MemRef ref, SimTime t);
 
     /** Apply preemption injection to a wake time. */
@@ -638,8 +634,8 @@ class SimMachine
     std::vector<std::unique_ptr<SimThread>> threads_;
     /** Hot scheduling state by tid (see ThreadHot). */
     std::vector<ThreadHot> hot_;
-    /** Stepped backoff polls by tid (see PollState); sized by
-     *  run_timed() when polls are stepped. */
+    /** Lazy backoff polls by tid (see PollState); sized by run_timed()
+     *  when polls may park. */
     std::vector<PollState> polls_;
     /** Runnable threads by (wake, tid), apart from the running one;
      *  maintained only in timed mode. */
@@ -661,12 +657,13 @@ class SimMachine
     std::string diagnosis_;
     bool running_ = false;
     bool ran_ = false;
-    /** Set by run(): timed, with no Scheduler, FaultInjector or probe sink
-     *  (SimContext::can_step_polls). */
-    bool steps_polls_ = false;
+    /** Set by run() (SimContext::can_park_polls). */
+    bool parks_polls_ = false;
+    /** Threads parked in lazy polls (ThreadHot::lazy). */
+    std::size_t parked_polls_ = 0;
     std::uint64_t fiber_switches_ = 0;
     std::uint64_t run_ahead_picks_ = 0;
-    std::uint64_t stepped_picks_ = 0;
+    std::uint64_t lazy_picks_ = 0;
     std::uint64_t sched_steps_ = 0;
     StopReason stop_ = StopReason::Completed;
     FaultInjector* injector_ = nullptr;   // non-owning
@@ -676,9 +673,9 @@ class SimMachine
 };
 
 inline bool
-SimContext::can_step_polls() const
+SimContext::can_park_polls() const
 {
-    return machine_->steps_polls_;
+    return machine_->parks_polls_;
 }
 
 /** Value of an idle is_spinning gate (the paper's "dummy value"). */

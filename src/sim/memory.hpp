@@ -168,6 +168,14 @@ class SimMemory
     std::uint64_t num_accesses() const { return accesses_; }
 
     /**
+     * Count @p n loads that hit in the issuing cpu's cache without being
+     * run: the reloads of a parked backoff poll (SimMachine). A hit moves
+     * no line and counts no transaction, so this counter is all it
+     * changes.
+     */
+    void count_skipped_hits(std::uint64_t n) { accesses_ += n; }
+
+    /**
      * Install a per-access trace hook (see sim/trace.hpp). Pass an empty
      * function to disable. The hook runs synchronously inside access().
      */
@@ -176,6 +184,9 @@ class SimMemory
     {
         trace_hook_ = std::move(hook);
     }
+
+    /** Whether a trace hook is installed, which must see every access. */
+    bool has_trace_hook() const { return static_cast<bool>(trace_hook_); }
 
     /**
      * Install a global-link latency hook (fault injection): called with the

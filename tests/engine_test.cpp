@@ -5,10 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -336,20 +339,22 @@ class CountingSink final : public obs::ProbeSink
 
 /**
  * t0 polls a held word with backoff (no jitter) while t1 waits 500 ns and
- * then stores to it. Returns the (tid, start) of every memory event plus
- * the (tid, now) points where the thread bodies ran, in host order.
+ * then stores to it. Returns the (tid, now) points where the thread
+ * bodies ran, in host order, and with @p traced also the (tid, start) of
+ * every memory event, through a trace hook.
  */
 std::vector<std::pair<int, SimTime>>
 poll_while_other_stores(SimMachine& m, locks::PollResult& poll,
-                        std::uint32_t& b)
+                        std::uint32_t& b, bool traced)
 {
     std::vector<std::pair<int, SimTime>> order;
     auto note = [&order](SimContext& ctx) {
         order.emplace_back(ctx.thread_id(), ctx.now());
     };
-    m.memory().set_trace_hook([&order](const TraceEvent& e) {
-        order.emplace_back(e.cpu, e.start);
-    });
+    if (traced)
+        m.memory().set_trace_hook([&order](const TraceEvent& e) {
+            order.emplace_back(e.cpu, e.start);
+        });
     const MemRef word = m.alloc(1, 0);
     m.add_thread(0, [&](SimContext& ctx) {
         note(ctx);
@@ -367,22 +372,19 @@ poll_while_other_stores(SimMachine& m, locks::PollResult& poll,
     return order;
 }
 
-TEST(Engine, SteppedPollKeepsPickOrderAndCounts)
+TEST(Engine, TracedPollKeepsPickOrderAndCounts)
 {
-    // t0 blocks in its first backoff (8 iterations of 4 ns). t1's dispatch
-    // then steps it without entering its fiber: the reload at 32 (a miss,
-    // done at 413), the 16-iteration backoff, the hit at 477 (done at
-    // 498) and the 32-iteration backoff, each keeping t0 the earliest (3
-    // run-aheads) until t1 is due at 500. That pick of t1 by itself is no
-    // run-ahead. After t1's store, its dispatch steps the reload at 626,
-    // which reads 0; only that reload's completion, picked from
-    // run_timed() once t1 is done, re-enters t0's fiber. 10 picks, 5 of
-    // them stepped.
+    // The trace hook sees every access, so the poll runs its literal loop.
+    // t0's reload at 32 misses (done at 413); its 16-iteration backoff,
+    // the hit at 477 (done at 498) and the 32-iteration backoff each keep
+    // t0 the earliest (3 run-aheads) until t1 is due at 500. After t1's
+    // store, t0's reload at 626 misses and reads 0 (done at 1491), and t1
+    // finishes first, at 986. 10 picks.
     SimMachine m(Topology::symmetric(1, 2));
     locks::PollResult poll;
     std::uint32_t b = 0;
     const std::vector<std::pair<int, SimTime>> order =
-        poll_while_other_stores(m, poll, b);
+        poll_while_other_stores(m, poll, b, true);
     const std::vector<std::pair<int, SimTime>> expected = {
         {0, 0},   {1, 0},   {0, 32},  {0, 477},
         {1, 500}, {0, 626}, {1, 986}, {0, 1491}};
@@ -392,7 +394,7 @@ TEST(Engine, SteppedPollKeepsPickOrderAndCounts)
     EXPECT_EQ(b, 64u);
     EXPECT_EQ(m.fiber_switches(), 10u);
     EXPECT_EQ(m.run_ahead_picks(), 3u);
-    EXPECT_EQ(m.stepped_picks(), 5u);
+    EXPECT_EQ(m.lazy_picks(), 0u);
 
     // The same run with a sink installed: literal loops, same everything.
     SimMachine literal(Topology::symmetric(1, 2));
@@ -400,16 +402,43 @@ TEST(Engine, SteppedPollKeepsPickOrderAndCounts)
     literal.install_probe(&sink);
     locks::PollResult literal_poll;
     std::uint32_t literal_b = 0;
-    EXPECT_EQ(poll_while_other_stores(literal, literal_poll, literal_b),
+    EXPECT_EQ(poll_while_other_stores(literal, literal_poll, literal_b, true),
               order);
     EXPECT_EQ(literal_poll.value, poll.value);
     EXPECT_EQ(literal_poll.polls, poll.polls);
     EXPECT_EQ(literal_b, b);
     EXPECT_EQ(literal.fiber_switches(), m.fiber_switches());
     EXPECT_EQ(literal.run_ahead_picks(), m.run_ahead_picks());
-    EXPECT_EQ(literal.stepped_picks(), 0u);
+    EXPECT_EQ(literal.lazy_picks(), 0u);
     EXPECT_EQ(literal.now(), m.now());
     EXPECT_GT(sink.events, 0u);
+}
+
+TEST(Engine, LazyPollSkipsTheHitPicks)
+{
+    // The same poll untraced. t0's reload at 32 reads the held word, so
+    // t0 parks, and t1 runs at 500. Its store unparks t0: the reload's
+    // end at 413, the backoff's at 477, and the hit's at 498 come before
+    // the store's pick and are skipped; the backoff ending at 626 is
+    // queued. t0's fiber is next entered there, for the reload that reads
+    // 0. Same result, events and 10 picks as the literal loop, of which 3
+    // lazy and no run-ahead (t0 is never the earliest when it blocks).
+    SimMachine m(Topology::symmetric(1, 2));
+    locks::PollResult poll;
+    std::uint32_t b = 0;
+    const std::vector<std::pair<int, SimTime>> order =
+        poll_while_other_stores(m, poll, b, false);
+    const std::vector<std::pair<int, SimTime>> expected = {
+        {0, 0}, {1, 0}, {1, 986}, {0, 1491}};
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(poll.value, 0u);
+    EXPECT_EQ(poll.polls, 3u);
+    EXPECT_EQ(b, 64u);
+    EXPECT_EQ(m.memory().num_accesses(), 4u);
+    EXPECT_EQ(m.now(), 1491u);
+    EXPECT_EQ(m.fiber_switches(), 10u);
+    EXPECT_EQ(m.lazy_picks(), 3u);
+    EXPECT_EQ(m.run_ahead_picks(), 0u);
 }
 
 TEST(EngineDeathTest, DeadlockIsDiagnosed)
@@ -514,26 +543,96 @@ TEST(EngineDeathTest, TimeLimitInsideARunAheadChainIsDiagnosed)
                 "t=1100 ns");
 }
 
-TEST(EngineDeathTest, TimeLimitInsideASteppedPollIsDiagnosed)
+/** Matches anything, keeping the death-test child's stderr. */
+class CapturedStderr final
+    : public ::testing::MatcherInterface<const std::string&>
 {
-    // Both threads poll a word nobody writes. Once both are queued, every
-    // pick is a step served inside the dispatching fiber's pick_next(),
-    // and the one past the limit still exits 86 from the host stack.
-    SimConfig cfg;
-    cfg.max_sim_time = 10'000;
-    SimMachine m(Topology::symmetric(1, 2), LatencyModel::wildfire(), cfg);
-    const MemRef word = m.alloc(1, 0);
-    const auto poll_forever = [word](SimContext& ctx) {
-        std::uint32_t b = 64;
-        locks::backoff_poll(ctx, word, 1, &b, 2, 256, true);
+  public:
+    explicit CapturedStderr(std::string* out) : out_(out) {}
+
+    bool
+    MatchAndExplain(const std::string& text,
+                    ::testing::MatchResultListener*) const override
+    {
+        *out_ = text;
+        return true;
+    }
+
+    void DescribeTo(std::ostream* os) const override { *os << "anything"; }
+
+  private:
+    std::string* out_;
+};
+
+/**
+ * Two threads poll a held word until the 10 us time limit, next to a
+ * third thread that runs @p third unless it is empty. Runs this lazy and
+ * with a sink installed (the literal loops), and requires the same exit
+ * code and, byte for byte, the same diagnosis.
+ */
+void
+expect_literal_time_limit(
+    const std::function<void(SimContext&, MemRef)>& third)
+{
+    const auto run = [&third](bool literal) {
+        SimConfig cfg;
+        cfg.max_sim_time = 10'000;
+        SimMachine m(Topology::symmetric(1, 4), LatencyModel::wildfire(), cfg);
+        CountingSink sink;
+        if (literal)
+            m.install_probe(&sink);
+        const MemRef word = m.alloc(1, 0);
+        const auto poll_forever = [word](SimContext& ctx) {
+            std::uint32_t b = 64;
+            locks::backoff_poll(ctx, word, 1, &b, 2, 256, true);
+        };
+        m.add_thread(0, poll_forever);
+        m.add_thread(1, poll_forever);
+        if (third)
+            m.add_thread(2, [&third, word](SimContext& ctx) {
+                third(ctx, word);
+            });
+        m.run();
     };
-    m.add_thread(0, poll_forever);
-    m.add_thread(1, poll_forever);
-    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(kDiagnosisExitCode),
-                "simulated time exceeded max_sim_time \\(livelock\\?\\) at "
-                "t=[0-9]+ ns\n"
-                "  t0 cpu=0 runnable, wake=[0-9]+ ns\n"
-                "  t1 cpu=1 runnable, wake=[0-9]+ ns");
+    std::string lazy;
+    std::string literal;
+    EXPECT_EXIT(run(false), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                ::testing::Matcher<const std::string&>(
+                    new CapturedStderr(&lazy)));
+    EXPECT_EXIT(run(true), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                ::testing::Matcher<const std::string&>(
+                    new CapturedStderr(&literal)));
+    // The diagnosis onward: a sanitizer runtime may print a warning with
+    // the child's pid before it.
+    const auto diagnosis = [](const std::string& text) {
+        return text.substr(std::min(text.find("diagnosed failure: "),
+                                    text.size()));
+    };
+    EXPECT_EQ(diagnosis(lazy).rfind("diagnosed failure: simulated time "
+                                    "exceeded max_sim_time (livelock?) at t=",
+                                    0),
+              0u)
+        << lazy;
+    EXPECT_EQ(diagnosis(lazy), diagnosis(literal));
+}
+
+TEST(EngineDeathTest, TimeLimitInsideALazyPollIsTheLiteralDiagnosis)
+{
+    // Alone, both pollers park for good: the pick that finds the ready
+    // queue empty rolls them forward to the limit instead of reporting a
+    // deadlock, and fails at the literal loops' failing pick.
+    expect_literal_time_limit({});
+    // A thread whose next pick is past the limit.
+    expect_literal_time_limit(
+        [](SimContext& ctx, MemRef) { ctx.delay_ns(1'000'000); });
+    // A thread whose failed cas takes the line every 700 ns, unparking
+    // both pollers each time.
+    expect_literal_time_limit([](SimContext& ctx, MemRef word) {
+        while (true) {
+            ctx.cas(word, 0, 2);
+            ctx.delay_ns(700);
+        }
+    });
 }
 
 TEST(EngineDeathTest, InstallProbeAfterRunRejected)

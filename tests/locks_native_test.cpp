@@ -361,6 +361,33 @@ TEST(NativeContext, BackoffPollIsTheLiteralLoop)
     EXPECT_EQ(grown, seen.polls >= 20 ? kCap : 1u << seen.polls);
 }
 
+TEST(NativeAnderson, TryAcquireWorksAfterContention)
+{
+    // A release counts its grant in a host-side shadow. Counted after the
+    // grant is posted, it races with the next holder's release, and a lost
+    // update leaves try_acquire failing for good.
+    NativeMachine machine(Topology::symmetric(2, 2));
+    AndersonLock<NativeContext> lock(machine);
+    machine.run_threads(4, Placement::RoundRobinNodes,
+                        [&](NativeContext& ctx, int) {
+                            for (int i = 0; i < 2000; ++i) {
+                                lock.acquire(ctx);
+                                lock.release(ctx);
+                            }
+                        });
+    NativeContext ctx = machine.make_context(0, 0);
+    ASSERT_TRUE(lock.try_acquire(ctx));
+    bool other_got_it = true;
+    std::thread([&] {
+        NativeContext other = machine.make_context(1, 1);
+        other_got_it = lock.try_acquire(other);
+    }).join();
+    EXPECT_FALSE(other_got_it);
+    lock.release(ctx);
+    EXPECT_TRUE(lock.try_acquire(ctx));
+    lock.release(ctx);
+}
+
 TEST(NativeContext, TouchArrayIncrements)
 {
     NativeMachine machine(Topology::symmetric(1, 2));

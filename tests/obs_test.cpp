@@ -9,16 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
 #include "harness/newbench.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/report.hpp"
 #include "obs/timeline.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -454,14 +457,47 @@ expect_same_tx(const sim::TxCount& a, const sim::TxCount& b,
     EXPECT_EQ(a.global_tx, b.global_tx) << where;
 }
 
+void
+expect_same_run(const BenchResult& a, const BenchResult& b,
+                const std::string& name)
+{
+    EXPECT_EQ(a.acquisition_order_hash, b.acquisition_order_hash) << name;
+    EXPECT_EQ(a.total_time, b.total_time) << name;
+    EXPECT_EQ(a.finish_times, b.finish_times) << name;
+    EXPECT_EQ(a.traffic.local_tx, b.traffic.local_tx) << name;
+    EXPECT_EQ(a.traffic.global_tx, b.traffic.global_tx) << name;
+    EXPECT_EQ(a.sim_memory_accesses, b.sim_memory_accesses) << name;
+    EXPECT_EQ(a.sim_fiber_switches, b.sim_fiber_switches) << name;
+
+    const sim::TrafficAttribution& x = a.traffic_attribution;
+    const sim::TrafficAttribution& y = b.traffic_attribution;
+    EXPECT_FALSE(x.per_lock.empty()) << name;
+    EXPECT_EQ(x.per_lock.size(), y.per_lock.size()) << name;
+    for (std::size_t i = 0; i < std::min(x.per_lock.size(), y.per_lock.size());
+         ++i) {
+        EXPECT_EQ(x.per_lock[i].lock_id, y.per_lock[i].lock_id) << name;
+        for (std::size_t p = 0; p < sim::kNumTxPhases; ++p)
+            expect_same_tx(x.per_lock[i].by_phase[p], y.per_lock[i].by_phase[p],
+                           name + " lock row " + std::to_string(i) + " " +
+                               sim::tx_phase_name(static_cast<sim::TxPhase>(p)));
+    }
+    EXPECT_EQ(x.per_node.size(), y.per_node.size()) << name;
+    for (std::size_t n = 0; n < std::min(x.per_node.size(), y.per_node.size());
+         ++n)
+        expect_same_tx(x.per_node[n], y.per_node[n],
+                       name + " node " + std::to_string(n));
+}
+
 /**
- * Run @p config bare and with a metrics and timeline sink installed, and
- * require the same simulated run. Bare, the engine steps the locks'
- * backoff polls; with a sink they run their literal loops, so this is
- * also the stepped-vs-literal equivalence check. Compared: order hash,
- * end and per-thread finish times, traffic and its per-(lock, phase) and
- * per-node attribution, and the engine's event, pick and run-ahead
- * counts. Returns the bare run; @p reg holds the probed run's metrics.
+ * Run @p config three ways and require the same simulated run: bare,
+ * where the engine parks the locks' backoff polls; with a memtrace
+ * recorder, which makes them run their literal loops; and with a metrics
+ * and timeline sink installed, which also does. So this is both the
+ * probe-neutrality check and the lazy-vs-literal equivalence check.
+ * Compared: order hash, end and per-thread finish times, traffic and its
+ * per-(lock, phase) and per-node attribution, and the engine's event and
+ * pick counts; the run-ahead counts between the two literal runs. Returns
+ * the bare run; @p reg holds the probed run's metrics.
  */
 BenchResult
 expect_probe_neutral(LockKind kind, const NewBenchConfig& config,
@@ -469,6 +505,12 @@ expect_probe_neutral(LockKind kind, const NewBenchConfig& config,
 {
     const std::string name = locks::lock_name(kind);
     const BenchResult bare = run_newbench(kind, config);
+
+    sim::TraceRecorder recorder;
+    recorder.set_max_events(1);
+    NewBenchConfig traced = config;
+    traced.memory_trace = &recorder;
+    const BenchResult literal = run_newbench(kind, traced);
 
     TimelineBuilder tb;
     MultiSink sink;
@@ -479,35 +521,12 @@ expect_probe_neutral(LockKind kind, const NewBenchConfig& config,
     const BenchResult observed = run_newbench(kind, probed);
     reg.finalize();
 
-    EXPECT_EQ(bare.acquisition_order_hash, observed.acquisition_order_hash)
+    expect_same_run(bare, literal, name + " (memtrace)");
+    expect_same_run(bare, observed, name + " (sink)");
+    EXPECT_EQ(literal.sim_run_ahead_picks, observed.sim_run_ahead_picks)
         << name;
-    EXPECT_EQ(bare.total_time, observed.total_time) << name;
-    EXPECT_EQ(bare.finish_times, observed.finish_times) << name;
-    EXPECT_EQ(bare.traffic.local_tx, observed.traffic.local_tx) << name;
-    EXPECT_EQ(bare.traffic.global_tx, observed.traffic.global_tx) << name;
-    EXPECT_EQ(bare.sim_memory_accesses, observed.sim_memory_accesses) << name;
-    EXPECT_EQ(bare.sim_fiber_switches, observed.sim_fiber_switches) << name;
-    EXPECT_EQ(bare.sim_run_ahead_picks, observed.sim_run_ahead_picks)
-        << name;
-    EXPECT_EQ(observed.sim_stepped_picks, 0u) << name;
-
-    const sim::TrafficAttribution& a = bare.traffic_attribution;
-    const sim::TrafficAttribution& b = observed.traffic_attribution;
-    EXPECT_FALSE(a.per_lock.empty()) << name;
-    EXPECT_EQ(a.per_lock.size(), b.per_lock.size()) << name;
-    for (std::size_t i = 0; i < std::min(a.per_lock.size(), b.per_lock.size());
-         ++i) {
-        EXPECT_EQ(a.per_lock[i].lock_id, b.per_lock[i].lock_id) << name;
-        for (std::size_t p = 0; p < sim::kNumTxPhases; ++p)
-            expect_same_tx(a.per_lock[i].by_phase[p], b.per_lock[i].by_phase[p],
-                           name + " lock row " + std::to_string(i) + " " +
-                               sim::tx_phase_name(static_cast<sim::TxPhase>(p)));
-    }
-    EXPECT_EQ(a.per_node.size(), b.per_node.size()) << name;
-    for (std::size_t n = 0; n < std::min(a.per_node.size(), b.per_node.size());
-         ++n)
-        expect_same_tx(a.per_node[n], b.per_node[n],
-                       name + " node " + std::to_string(n));
+    EXPECT_EQ(literal.sim_lazy_picks, 0u) << name;
+    EXPECT_EQ(observed.sim_lazy_picks, 0u) << name;
     EXPECT_GT(reg.events_seen(), 0u) << name;
     return bare;
 }
@@ -537,15 +556,16 @@ TEST(ProbeNeutrality, SimRunIsBitIdenticalWithProbesOn)
         MetricsRegistry reg;
         const BenchResult bare = expect_probe_neutral(kind, small_config(7), reg);
         if (polls(kind))
-            EXPECT_GT(bare.sim_stepped_picks, 0u) << locks::lock_name(kind);
+            EXPECT_GT(bare.sim_lazy_picks, 0u) << locks::lock_name(kind);
         else
-            EXPECT_EQ(bare.sim_stepped_picks, 0u) << locks::lock_name(kind);
+            EXPECT_EQ(bare.sim_lazy_picks, 0u) << locks::lock_name(kind);
     }
 }
 
 /** HBO_GT_SD at the Fig 5 shape (2x14, critical work 2500), long enough
- *  for node winners to get angry: the stepped remote polls stop at the
- *  anger limit, and the angry ones poll at the constant local base. */
+ *  for node winners to get angry: the remote polls, which stop at the
+ *  anger limit, run their literal loops; the angry ones, at the constant
+ *  local base, park. */
 TEST(ProbeNeutrality, AngryHboGtSdAtTheFig5Shape)
 {
     NewBenchConfig config;
@@ -554,7 +574,7 @@ TEST(ProbeNeutrality, AngryHboGtSdAtTheFig5Shape)
     MetricsRegistry reg;
     const BenchResult bare =
         expect_probe_neutral(LockKind::HboGtSd, config, reg);
-    EXPECT_GT(bare.sim_stepped_picks, bare.sim_fiber_switches / 2);
+    EXPECT_GT(bare.sim_lazy_picks, bare.sim_fiber_switches / 2);
     ASSERT_NE(reg.primary(), nullptr);
     EXPECT_GT(reg.primary()->angry_transitions, 0u);
 }
@@ -571,7 +591,7 @@ TEST(ProbeNeutrality, AngerAtTheFirstRemotePoll)
 }
 
 /** Preemption draws from the same generator as the backoff jitter: a
- *  stepped poll must interleave the two draws as the literal loop does. */
+ *  lazy poll must interleave the two draws as the literal loop does. */
 TEST(ProbeNeutrality, PreemptedPolls)
 {
     NewBenchConfig config = small_config(5);
@@ -589,7 +609,7 @@ TEST(ProbeNeutrality, PreemptedPolls)
 }
 
 /** Eight nodes: a remote poller sees the holder move between other remote
- *  nodes, which ends a stepped poll on a value that is neither free nor
+ *  nodes, which ends a lazy poll on a value that is neither free nor
  *  ours. */
 TEST(ProbeNeutrality, RemoteHolderChangesAtEightNodes)
 {
@@ -602,7 +622,68 @@ TEST(ProbeNeutrality, RemoteHolderChangesAtEightNodes)
     for (LockKind kind : {LockKind::Hbo, LockKind::HboGt}) {
         MetricsRegistry reg;
         const BenchResult bare = expect_probe_neutral(kind, config, reg);
-        EXPECT_GT(bare.sim_stepped_picks, 0u) << locks::lock_name(kind);
+        EXPECT_GT(bare.sim_lazy_picks, 0u) << locks::lock_name(kind);
+    }
+}
+
+/** Counts probe events; installing it makes polls run their literal loops. */
+class CountingSink final : public ProbeSink
+{
+  public:
+    void on_event(const ProbeRecord&) override { ++events; }
+    std::uint64_t events = 0;
+};
+
+/**
+ * The lazy-vs-literal differential: about thirty configurations drawn
+ * from a fixed seed, each run bare (lazy polls) and with a sink (the
+ * literal loops), must give the same simulated run. Each draws a lock
+ * (the five polling locks, and TATAS as a control that never polls), a
+ * shape, critical and private work, preemption on or off, and a seed.
+ */
+TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
+{
+    const LockKind kinds[] = {LockKind::TatasExp, LockKind::Rh,
+                              LockKind::Hbo,      LockKind::HboGt,
+                              LockKind::HboGtSd,  LockKind::Tatas};
+    const Topology shapes[] = {Topology::symmetric(1, 4),
+                               Topology::symmetric(2, 14),
+                               Topology::symmetric(8, 8)};
+    const std::uint32_t critical[] = {0, 100, 500, 1500, 2500};
+    const std::uint32_t priv[] = {0, 200, 800, 4000};
+    Xoshiro256 rng(20030208);
+    for (int i = 0; i < 30; ++i) {
+        const LockKind kind = kinds[rng.next_below(std::size(kinds))];
+        NewBenchConfig config;
+        // RH is a two-node lock.
+        config.topology = shapes[rng.next_below(kind == LockKind::Rh ? 2 : 3)];
+        config.threads = config.topology.num_cpus();
+        config.iterations_per_thread = config.threads > 4 ? 3 : 12;
+        config.critical_work = critical[rng.next_below(std::size(critical))];
+        config.private_work = priv[rng.next_below(std::size(priv))];
+        config.preemption = rng.next_below(2) == 1;
+        config.preempt_mean_interval = 20'000;
+        config.preempt_duration = 5'000;
+        config.seed = 1 + rng.next_below(1000);
+        const std::string name =
+            std::string(locks::lock_name(kind)) + " " +
+            std::to_string(config.topology.num_nodes()) + "x" +
+            std::to_string(config.topology.cpus_in_node(0)) + " cw " +
+            std::to_string(config.critical_work) + " pw " +
+            std::to_string(config.private_work) +
+            (config.preemption ? " preempted" : "") + " seed " +
+            std::to_string(config.seed);
+
+        const BenchResult lazy = run_newbench(kind, config);
+        CountingSink sink;
+        config.probe = &sink;
+        const BenchResult literal = run_newbench(kind, config);
+        expect_same_run(lazy, literal, name);
+        EXPECT_EQ(literal.sim_lazy_picks, 0u) << name;
+        if (kind == LockKind::Tatas) {
+            EXPECT_EQ(lazy.sim_lazy_picks, 0u) << name;
+        }
+        EXPECT_GT(sink.events, 0u) << name;
     }
 }
 
