@@ -1,28 +1,19 @@
 /**
  * @file
- * Native-backend benchmark. Two layers:
- *
- *  1. A hardware-counter observatory sweep: contended acquire/release and a
- *     KV-service section (structs::StripedMap) on real threads, with a
- *     perf_event counter group per thread read at every probe phase
- *     transition (obs/perf_counters.hpp), producing a schema-v6 report
- *     whose per-run "native_traffic" object carries per-lock, per-phase
- *     LLC-miss/remote-access deltas — the real-hardware Figure 7 story.
- *     Where perf is denied (perf_event_paranoid, containers) the report
- *     carries a machine-readable unavailable marker and the exit status is
- *     identical.
- *
- *  2. The original google-benchmark microbenchmarks: uncontested
- *     acquire-release cost of every lock on the host (skip with
- *     --skip-microbench).
+ * Native-backend benchmark: a hardware-counter observatory sweep. It runs
+ * contended acquire/release and a KV-service section (structs::StripedMap)
+ * on real threads, with a perf_event counter group per thread read at
+ * every probe phase transition (obs/perf_counters.hpp), producing a
+ * schema-v6 report whose per-run "native_traffic" object carries per-lock,
+ * per-phase LLC-miss/remote-access deltas — the real-hardware Figure 7
+ * story. Where perf is denied (perf_event_paranoid, containers) the report
+ * carries a machine-readable unavailable marker and the exit status is
+ * identical. perfbench's native ladder measures the uncontended costs.
  */
-#include <benchmark/benchmark.h>
-
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <string>
@@ -44,27 +35,6 @@ namespace {
 using namespace nucalock;
 using namespace nucalock::locks;
 using namespace nucalock::native;
-
-/** A machine with at least two (logical) nodes for the NUCA-aware locks. */
-NativeMachine&
-shared_machine()
-{
-    static NativeMachine machine(Topology::symmetric(2, 2));
-    return machine;
-}
-
-void
-uncontested(benchmark::State& state, LockKind kind)
-{
-    NativeMachine& machine = shared_machine();
-    AnyLock<NativeContext> lock(machine, kind);
-    NativeContext ctx = machine.make_context(0, 0);
-    for (auto _ : state) {
-        lock.acquire(ctx);
-        lock.release(ctx);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
 
 // ---------------------------------------------------------------------------
 // Hardware-counter observatory sweep
@@ -316,45 +286,8 @@ run_observatory()
 
 } // namespace
 
-BENCHMARK_CAPTURE(uncontested, TATAS, LockKind::Tatas);
-BENCHMARK_CAPTURE(uncontested, TATAS_EXP, LockKind::TatasExp);
-BENCHMARK_CAPTURE(uncontested, TICKET, LockKind::Ticket);
-BENCHMARK_CAPTURE(uncontested, MCS, LockKind::Mcs);
-BENCHMARK_CAPTURE(uncontested, CLH, LockKind::Clh);
-BENCHMARK_CAPTURE(uncontested, RH, LockKind::Rh);
-BENCHMARK_CAPTURE(uncontested, HBO, LockKind::Hbo);
-BENCHMARK_CAPTURE(uncontested, HBO_GT, LockKind::HboGt);
-BENCHMARK_CAPTURE(uncontested, HBO_GT_SD, LockKind::HboGtSd);
-BENCHMARK_CAPTURE(uncontested, HBO_HIER, LockKind::HboHier);
-BENCHMARK_CAPTURE(uncontested, REACTIVE, LockKind::Reactive);
-BENCHMARK_CAPTURE(uncontested, ANDERSON, LockKind::Anderson);
-BENCHMARK_CAPTURE(uncontested, COHORT, LockKind::Cohort);
-BENCHMARK_CAPTURE(uncontested, CLH_TRY, LockKind::ClhTry);
-
 int
-main(int argc, char** argv)
+main()
 {
-    // Strip our own flags before google-benchmark sees (and rejects) them.
-    bool skip_microbench = false;
-    std::vector<char*> bench_argv;
-    bench_argv.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--skip-microbench") == 0)
-            skip_microbench = true;
-        else
-            bench_argv.push_back(argv[i]);
-    }
-
-    const int status = run_observatory();
-    if (skip_microbench)
-        return status;
-
-    int bench_argc = static_cast<int>(bench_argv.size());
-    benchmark::Initialize(&bench_argc, bench_argv.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               bench_argv.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return status;
+    return run_observatory();
 }

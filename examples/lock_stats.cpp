@@ -12,7 +12,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "locks/hbo_gt_sd.hpp"
+#include "locks/hbo.hpp"
 #include "locks/instrumented.hpp"
 #include "locks/mcs.hpp"
 #include "sim/engine.hpp"

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "locks/guard.hpp"
-#include "locks/hbo_gt_sd.hpp"
+#include "locks/hbo.hpp"
 #include "native/machine.hpp"
 #include "topology/host.hpp"
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "locks/guard.hpp"
-#include "locks/hbo_gt.hpp"
+#include "locks/hbo.hpp"
 #include "native/machine.hpp"
 #include "topology/host.hpp"
 

@@ -271,7 +271,7 @@ class AdaptiveLock
         }
     }
 
-    /** HBO_GT arrival shaping (locks/hbo_gt.hpp, inlined so the gears
+    /** HBO_GT arrival shaping (locks/hbo.hpp, inlined so the gears
      *  share one word). Returns whether the acquire was contended, using
      *  the same cost proxy as tatas_take_word: more than one backoff
      *  round. A single cheap round is what a *working* gear looks like
@@ -334,7 +334,7 @@ class AdaptiveLock
     }
 
     /** Deadline-bounded HBO gear (the HMCS-T gate discipline of
-     *  hbo_gt.hpp): a thread that times out after closing its node's gate
+     *  hbo.hpp): a thread that times out after closing its node's gate
      *  re-opens it before leaving, or the node wedges. */
     bool
     hbo_timed_acquire(Ctx& ctx, std::uint64_t deadline, AdaptGear gear)

@@ -21,9 +21,6 @@
 #include "locks/cohort.hpp"
 #include "locks/context.hpp"
 #include "locks/hbo.hpp"
-#include "locks/hbo_gt.hpp"
-#include "locks/hbo_gt_sd.hpp"
-#include "locks/hbo_hier.hpp"
 #include "locks/mcs.hpp"
 #include "locks/params.hpp"
 #include "locks/reactive.hpp"

@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "locks/context.hpp"
+#include "locks/instrumented.hpp" // detail::lock_clock_ns
 #include "locks/params.hpp"
 #include "obs/probe.hpp"
 
@@ -40,44 +41,60 @@ backoff(Ctx& ctx, std::uint32_t* b, std::uint32_t factor, std::uint32_t cap,
 /** What backoff_poll() saw. */
 struct PollResult
 {
-    /** The last value loaded; equal to `held` only when max_polls ran out. */
+    /** The last value loaded; `held` when max_polls ran out or the poll
+     *  timed out. */
     std::uint64_t value = 0;
-    /** Backoff-and-reload rounds run: at least 1, at most max_polls. */
+    /** Backoff-and-reload rounds run: at most max_polls, and at least 1
+     *  unless the poll timed out. */
     std::uint64_t polls = 0;
+    /** The deadline passed before a round, which then did not run. */
+    bool timed_out = false;
 };
 
 /** backoff_poll()'s default round limit: none. */
 inline constexpr std::uint64_t kUnlimitedPolls = ~std::uint64_t{0};
 
+/** backoff_poll()'s default deadline: none. */
+inline constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
+
 /**
  * The paper's polling wait: repeat { backoff(b); v = load(word); } while
  * v == @p held, at most @p max_polls rounds (at least one). *b keeps
- * growing across the rounds, as in the lock's own loop.
+ * growing across the rounds, as in the lock's own loop. A round that
+ * would start at or past @p deadline (detail::lock_clock_ns) does not
+ * run: the poll ends timed out.
  *
  * The loop below is the definition. It runs natively, and on the
- * simulator under a finite @p max_polls or whenever a Scheduler,
- * FaultInjector, probe sink, memtrace hook or armed watchdog is
- * installed. Otherwise the simulator parks the thread while its cached
- * copy of the word is valid (SimContext::lazy_backoff_poll) and rolls
- * the rounds it would spin through forward when another cpu writes the
- * word: every pick, event, random draw and result is the same.
+ * simulator under a finite @p max_polls or @p deadline or whenever a
+ * Scheduler, FaultInjector, probe sink, memtrace hook or armed watchdog
+ * is installed. Otherwise the simulator parks the thread while its
+ * cached copy of the word is valid (SimContext::lazy_backoff_poll) and
+ * rolls the rounds it would spin through forward when another cpu
+ * writes the word: every pick, event, random draw and result is the
+ * same.
  */
 template <LockContext Ctx>
 PollResult
 backoff_poll(Ctx& ctx, typename Ctx::Ref word, std::uint64_t held,
              std::uint32_t* b, std::uint32_t factor, std::uint32_t cap,
              bool jitter, obs::BackoffClass cls = obs::BackoffClass::Generic,
-             std::uint64_t max_polls = kUnlimitedPolls)
+             std::uint64_t max_polls = kUnlimitedPolls,
+             std::uint64_t deadline = kNoDeadline)
 {
     if constexpr (requires { ctx.can_park_polls(); }) {
-        if (max_polls == kUnlimitedPolls && ctx.can_park_polls()) {
+        if (max_polls == kUnlimitedPolls && deadline == kNoDeadline &&
+            ctx.can_park_polls()) {
             const auto r =
                 ctx.lazy_backoff_poll(word, held, b, factor, cap, jitter);
             return PollResult{r.value, r.polls};
         }
     }
-    PollResult r;
+    PollResult r{held, 0};
     do {
+        if (deadline != kNoDeadline && detail::lock_clock_ns(ctx) >= deadline) {
+            r.timed_out = true;
+            break;
+        }
         backoff(ctx, b, factor, cap, jitter, cls);
         r.value = ctx.load(word);
         ++r.polls;

@@ -186,7 +186,7 @@ note_op_phase(Ctx& ctx, LockEvent event, std::uint64_t lock_id)
           case LockEvent::GatePublish:
           case LockEvent::GateOpen:
             // Both probes sit immediately before exactly one gate store
-            // (locks/hbo_gt.hpp); tag just that access.
+            // (locks/hbo.hpp); tag just that access.
             ctx.set_transient_phase(sim::TxPhase::GatePublish);
             break;
           default:

@@ -7,7 +7,6 @@
 #include <atomic>
 
 #include "harness/barrier.hpp"
-#include "harness/barriers.hpp"
 #include "native/machine.hpp"
 #include "sim/engine.hpp"
 
@@ -98,116 +97,6 @@ TEST(NativeBarrier, PhasesAreSeparated)
                   });
     EXPECT_FALSE(violated.load());
     EXPECT_EQ(in_phase.load(), 4 * kPhases);
-}
-
-
-// --- Scalable barriers (harness/barriers.hpp) ----------------------------
-
-TEST(TreeBarrier, PhasesAreSeparated)
-{
-    sim::SimMachine m(Topology::wildfire(8));
-    TreeBarrier<sim::SimContext> barrier(m, 16);
-    constexpr int kPhases = 6;
-    std::array<int, kPhases> counts{};
-    bool ok = true;
-    m.add_threads(16, Placement::RoundRobinNodes,
-                  [&](sim::SimContext& ctx, int) {
-                      bool sense = false;
-                      for (int p = 0; p < kPhases; ++p) {
-                          ctx.delay(ctx.rng().next_below(3000));
-                          ++counts[static_cast<std::size_t>(p)];
-                          barrier.wait(ctx, &sense);
-                          ok = ok && counts[static_cast<std::size_t>(p)] == 16;
-                      }
-                  });
-    m.run();
-    EXPECT_TRUE(ok);
-}
-
-TEST(TreeBarrier, SingleParticipant)
-{
-    sim::SimMachine m(Topology::symmetric(1, 1));
-    TreeBarrier<sim::SimContext> barrier(m, 1);
-    int phases = 0;
-    m.add_thread(0, [&](sim::SimContext& ctx) {
-        bool sense = false;
-        for (int p = 0; p < 5; ++p) {
-            barrier.wait(ctx, &sense);
-            ++phases;
-        }
-    });
-    m.run();
-    EXPECT_EQ(phases, 5);
-}
-
-TEST(TreeBarrier, NonPowerOfArityCount)
-{
-    sim::SimMachine m(Topology::wildfire(7));
-    TreeBarrier<sim::SimContext> barrier(m, 13); // 13 = 4+4+4+1 groups
-    std::vector<sim::SimTime> after(13);
-    m.add_threads(13, Placement::RoundRobinNodes,
-                  [&](sim::SimContext& ctx, int i) {
-                      bool sense = false;
-                      ctx.delay_ns(static_cast<sim::SimTime>(i) * 10'000);
-                      barrier.wait(ctx, &sense);
-                      after[static_cast<std::size_t>(i)] = ctx.now();
-                  });
-    m.run();
-    for (auto t : after)
-        EXPECT_GE(t, 120'000u); // nobody passes before the last arriver
-}
-
-TEST(DisseminationBarrier, PhasesAreSeparated)
-{
-    sim::SimMachine m(Topology::wildfire(8));
-    DisseminationBarrier<sim::SimContext> barrier(m, 16);
-    constexpr int kPhases = 6;
-    std::array<int, kPhases> counts{};
-    bool ok = true;
-    m.add_threads(16, Placement::RoundRobinNodes,
-                  [&](sim::SimContext& ctx, int) {
-                      for (int p = 0; p < kPhases; ++p) {
-                          ctx.delay(ctx.rng().next_below(3000));
-                          ++counts[static_cast<std::size_t>(p)];
-                          barrier.wait(ctx);
-                          ok = ok && counts[static_cast<std::size_t>(p)] == 16;
-                      }
-                  });
-    m.run();
-    EXPECT_TRUE(ok);
-}
-
-TEST(DisseminationBarrier, OddParticipantCount)
-{
-    sim::SimMachine m(Topology::wildfire(6));
-    DisseminationBarrier<sim::SimContext> barrier(m, 11);
-    std::vector<sim::SimTime> after(11);
-    m.add_threads(11, Placement::RoundRobinNodes,
-                  [&](sim::SimContext& ctx, int i) {
-                      ctx.delay_ns(static_cast<sim::SimTime>(10 - i) * 10'000);
-                      barrier.wait(ctx);
-                      after[static_cast<std::size_t>(i)] = ctx.now();
-                  });
-    m.run();
-    for (auto t : after)
-        EXPECT_GE(t, 100'000u);
-}
-
-TEST(DisseminationBarrier, NoHotWordUnderContention)
-{
-    // The whole point: per-round per-thread flags, no single counter.
-    // Compare global traffic per phase against the centralized barrier on
-    // a 2-node machine: dissemination should not be catastrophically
-    // worse, and it must be correct; this is a smoke-level comparison.
-    sim::SimMachine m(Topology::wildfire(8));
-    DisseminationBarrier<sim::SimContext> barrier(m, 16);
-    m.add_threads(16, Placement::RoundRobinNodes,
-                  [&](sim::SimContext& ctx, int) {
-                      for (int p = 0; p < 10; ++p)
-                          barrier.wait(ctx);
-                  });
-    m.run();
-    EXPECT_GT(m.traffic().total(), 0u);
 }
 
 } // namespace

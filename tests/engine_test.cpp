@@ -345,7 +345,8 @@ class CountingSink final : public obs::ProbeSink
  */
 std::vector<std::pair<int, SimTime>>
 poll_while_other_stores(SimMachine& m, locks::PollResult& poll,
-                        std::uint32_t& b, bool traced)
+                        std::uint32_t& b, bool traced,
+                        std::uint64_t deadline = locks::kNoDeadline)
 {
     std::vector<std::pair<int, SimTime>> order;
     auto note = [&order](SimContext& ctx) {
@@ -359,7 +360,9 @@ poll_while_other_stores(SimMachine& m, locks::PollResult& poll,
     m.add_thread(0, [&](SimContext& ctx) {
         note(ctx);
         b = 8;
-        poll = locks::backoff_poll(ctx, word, 1, &b, 2, 64, false);
+        poll = locks::backoff_poll(ctx, word, 1, &b, 2, 64, false,
+                                   obs::BackoffClass::Generic,
+                                   locks::kUnlimitedPolls, deadline);
         note(ctx);
     });
     m.add_thread(1, [&](SimContext& ctx) {
@@ -439,6 +442,53 @@ TEST(Engine, LazyPollSkipsTheHitPicks)
     EXPECT_EQ(m.fiber_switches(), 10u);
     EXPECT_EQ(m.lazy_picks(), 3u);
     EXPECT_EQ(m.run_ahead_picks(), 0u);
+}
+
+TEST(Engine, DeadlinePollRunsTheLiteralLoop)
+{
+    // A finite deadline makes the poll run its literal loop: no lazy
+    // picks, and the same run as the sink-forced one. This deadline falls
+    // after the store, so it ends nothing.
+    SimMachine m(Topology::symmetric(1, 2));
+    locks::PollResult poll;
+    std::uint32_t b = 0;
+    const std::vector<std::pair<int, SimTime>> order =
+        poll_while_other_stores(m, poll, b, false, 10'000);
+    EXPECT_FALSE(poll.timed_out);
+    EXPECT_EQ(poll.value, 0u);
+    EXPECT_EQ(poll.polls, 3u);
+    EXPECT_EQ(b, 64u);
+    EXPECT_EQ(m.now(), 1491u);
+    EXPECT_EQ(m.fiber_switches(), 10u);
+    EXPECT_EQ(m.lazy_picks(), 0u);
+
+    SimMachine literal(Topology::symmetric(1, 2));
+    CountingSink sink;
+    literal.install_probe(&sink);
+    locks::PollResult literal_poll;
+    std::uint32_t literal_b = 0;
+    EXPECT_EQ(poll_while_other_stores(literal, literal_poll, literal_b, false,
+                                      10'000),
+              order);
+    EXPECT_EQ(literal_poll.value, poll.value);
+    EXPECT_EQ(literal_poll.polls, poll.polls);
+    EXPECT_EQ(literal_b, b);
+    EXPECT_EQ(literal.fiber_switches(), m.fiber_switches());
+    EXPECT_EQ(literal.run_ahead_picks(), m.run_ahead_picks());
+    EXPECT_EQ(literal.lazy_picks(), 0u);
+    EXPECT_EQ(literal.now(), m.now());
+
+    // A deadline before the store: t0's first reload ends at 413, past
+    // it, so the poll ends there, timed out on the held value.
+    SimMachine early(Topology::symmetric(1, 2));
+    locks::PollResult early_poll;
+    std::uint32_t early_b = 0;
+    poll_while_other_stores(early, early_poll, early_b, false, 300);
+    EXPECT_TRUE(early_poll.timed_out);
+    EXPECT_EQ(early_poll.value, 1u);
+    EXPECT_EQ(early_poll.polls, 1u);
+    EXPECT_EQ(early_b, 16u);
+    EXPECT_EQ(early.lazy_picks(), 0u);
 }
 
 TEST(EngineDeathTest, DeadlockIsDiagnosed)

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/fairness.hpp"
 #include "harness/newbench.hpp"
 #include "harness/sensitivity.hpp"
@@ -209,7 +211,32 @@ TEST(Sensitivity, AngryLimitConvergesToHboGt)
     const auto points = sweep_get_angry_limit(config, {1u << 30});
     ASSERT_EQ(points.size(), 1u);
     // With an unreachable limit, SD degenerates to GT exactly.
-    EXPECT_NEAR(points[0].normalized_time, 1.0, 0.05);
+    EXPECT_EQ(points[0].normalized_time, 1.0);
+
+    // Bit for bit, at Fig 5's critical-work levels: same order hash, time,
+    // traffic, memory operations and scheduling picks.
+    for (const Topology& shape :
+         {Topology::symmetric(2, 4), Topology::symmetric(2, 14)}) {
+        for (std::uint32_t cw : {0u, 500u, 1500u, 2500u}) {
+            NewBenchConfig limitless;
+            limitless.topology = shape;
+            limitless.threads = shape.num_cpus();
+            limitless.iterations_per_thread = 8;
+            limitless.critical_work = cw;
+            limitless.params.get_angry_limit = 1u << 30;
+            const std::string name = std::to_string(shape.num_cpus()) +
+                                     " cpus, cw " + std::to_string(cw);
+            const BenchResult gt = run_newbench(LockKind::HboGt, limitless);
+            const BenchResult sd = run_newbench(LockKind::HboGtSd, limitless);
+            EXPECT_EQ(sd.acquisition_order_hash, gt.acquisition_order_hash)
+                << name;
+            EXPECT_EQ(sd.total_time, gt.total_time) << name;
+            EXPECT_EQ(sd.traffic.local_tx, gt.traffic.local_tx) << name;
+            EXPECT_EQ(sd.traffic.global_tx, gt.traffic.global_tx) << name;
+            EXPECT_EQ(sd.sim_memory_accesses, gt.sim_memory_accesses) << name;
+            EXPECT_EQ(sd.sim_fiber_switches, gt.sim_fiber_switches) << name;
+        }
+    }
 }
 
 TEST(FairnessSpreadMetric, Formula)

@@ -4,7 +4,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "locks/hbo_gt.hpp"
+#include "locks/hbo.hpp"
 #include "locks/instrumented.hpp"
 #include "locks/tatas.hpp"
 #include "native/machine.hpp"

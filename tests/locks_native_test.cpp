@@ -331,13 +331,33 @@ TEST(NativeContext, BackoffPollIsTheLiteralLoop)
     PollResult r = backoff_poll(ctx, word, 7, &b, 2, 64, false);
     EXPECT_EQ(r.value, 5u);
     EXPECT_EQ(r.polls, 1u);
+    EXPECT_FALSE(r.timed_out);
     EXPECT_EQ(b, 8u);
 
+    // The deadline has passed: no round runs, and b stays.
+    r = backoff_poll(ctx, word, 5, &b, 2, 64, false, obs::BackoffClass::Local,
+                     kUnlimitedPolls, 1);
+    EXPECT_TRUE(r.timed_out);
+    EXPECT_EQ(r.value, 5u);
+    EXPECT_EQ(r.polls, 0u);
+    EXPECT_EQ(b, 8u);
+
+    // It falls mid-poll: the rounds before it ran, and the poll ends on it.
+    const std::uint64_t deadline = locks::detail::lock_clock_ns(ctx) + 2'000'000;
+    r = backoff_poll(ctx, word, 5, &b, 2, 64, false, obs::BackoffClass::Local,
+                     kUnlimitedPolls, deadline);
+    EXPECT_TRUE(r.timed_out);
+    EXPECT_EQ(r.value, 5u);
+    EXPECT_GE(r.polls, 1u);
+    EXPECT_GE(locks::detail::lock_clock_ns(ctx), deadline);
+
     // It reads `held` for good: max_polls rounds, b grown up to the cap.
+    b = 8;
     r = backoff_poll(ctx, word, 5, &b, 2, 32, false, obs::BackoffClass::Local,
                      4);
     EXPECT_EQ(r.value, 5u);
     EXPECT_EQ(r.polls, 4u);
+    EXPECT_FALSE(r.timed_out);
     EXPECT_EQ(b, 32u); // 8 -> 16 -> 32 -> 32 -> 32
 
     // A writer changes it mid-poll: the poll returns the new value, with b

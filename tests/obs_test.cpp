@@ -537,7 +537,7 @@ polls(LockKind kind)
 {
     return kind == LockKind::TatasExp || kind == LockKind::Rh ||
            kind == LockKind::Hbo || kind == LockKind::HboGt ||
-           kind == LockKind::HboGtSd;
+           kind == LockKind::HboGtSd || kind == LockKind::HboHier;
 }
 
 /**
@@ -599,7 +599,8 @@ TEST(ProbeNeutrality, PreemptedPolls)
     config.preempt_mean_interval = 20'000;
     config.preempt_duration = 5'000;
     for (LockKind kind : {LockKind::TatasExp, LockKind::Rh, LockKind::Hbo,
-                          LockKind::HboGt, LockKind::HboGtSd}) {
+                          LockKind::HboGt, LockKind::HboGtSd,
+                          LockKind::HboHier}) {
         MetricsRegistry reg;
         const BenchResult bare = expect_probe_neutral(kind, config, reg);
         const NewBenchConfig quiet = small_config(5);
@@ -635,28 +636,34 @@ class CountingSink final : public ProbeSink
 };
 
 /**
- * The lazy-vs-literal differential: about thirty configurations drawn
- * from a fixed seed, each run bare (lazy polls) and with a sink (the
- * literal loops), must give the same simulated run. Each draws a lock
- * (the five polling locks, and TATAS as a control that never polls), a
- * shape, critical and private work, preemption on or off, and a seed.
+ * The lazy-vs-literal differential: forty configurations drawn from a
+ * fixed seed, each run bare (lazy polls) and with a sink (the literal
+ * loops), must give the same simulated run. Each draws a lock (the six
+ * polling locks, and TATAS as a control that never polls), a shape,
+ * critical and private work, preemption on or off, and a seed. Two of
+ * the shapes have two chips per node, so HBO_HIER's same-node,
+ * other-chip level is compared too.
  */
 TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
 {
     const LockKind kinds[] = {LockKind::TatasExp, LockKind::Rh,
                               LockKind::Hbo,      LockKind::HboGt,
-                              LockKind::HboGtSd,  LockKind::Tatas};
+                              LockKind::HboGtSd,  LockKind::HboHier,
+                              LockKind::Tatas};
     const Topology shapes[] = {Topology::symmetric(1, 4),
                                Topology::symmetric(2, 14),
-                               Topology::symmetric(8, 8)};
+                               Topology::hierarchical(2, 2, 4),
+                               Topology::symmetric(8, 8),
+                               Topology::hierarchical(4, 2, 4)};
     const std::uint32_t critical[] = {0, 100, 500, 1500, 2500};
     const std::uint32_t priv[] = {0, 200, 800, 4000};
     Xoshiro256 rng(20030208);
-    for (int i = 0; i < 30; ++i) {
+    int hier_on_chips = 0;
+    for (int i = 0; i < 40; ++i) {
         const LockKind kind = kinds[rng.next_below(std::size(kinds))];
         NewBenchConfig config;
         // RH is a two-node lock.
-        config.topology = shapes[rng.next_below(kind == LockKind::Rh ? 2 : 3)];
+        config.topology = shapes[rng.next_below(kind == LockKind::Rh ? 3 : 5)];
         config.threads = config.topology.num_cpus();
         config.iterations_per_thread = config.threads > 4 ? 3 : 12;
         config.critical_work = critical[rng.next_below(std::size(critical))];
@@ -668,7 +675,12 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
         const std::string name =
             std::string(locks::lock_name(kind)) + " " +
             std::to_string(config.topology.num_nodes()) + "x" +
-            std::to_string(config.topology.cpus_in_node(0)) + " cw " +
+            std::to_string(config.topology.cpus_in_node(0)) +
+            (config.topology.flat_chips()
+                 ? ""
+                 : " (" + std::to_string(config.topology.num_chips()) +
+                       " chips)") +
+            " cw " +
             std::to_string(config.critical_work) + " pw " +
             std::to_string(config.private_work) +
             (config.preemption ? " preempted" : "") + " seed " +
@@ -684,7 +696,10 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
             EXPECT_EQ(lazy.sim_lazy_picks, 0u) << name;
         }
         EXPECT_GT(sink.events, 0u) << name;
+        if (kind == LockKind::HboHier && !config.topology.flat_chips())
+            ++hier_on_chips;
     }
+    EXPECT_GT(hier_on_chips, 0);
 }
 
 TEST(ProbeNeutrality, HashIsSeedDeterministicAndSeedSensitive)

@@ -18,10 +18,12 @@
 #include "common/rng.hpp"
 #include "check/harness.hpp"
 #include "check/schedule.hpp"
+#include "harness/newbench.hpp"
 #include "locks/any_lock.hpp"
 #include "locks/timed.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults.hpp"
 
 namespace {
 
@@ -490,6 +492,187 @@ TEST(Campaign, FailingCellCarriesAReplayableTrace)
     EXPECT_EQ(report.acquisitions, failed->acquisitions);
     EXPECT_EQ(report.timeouts, failed->timeouts);
     EXPECT_EQ(report.max_overshoot_ns, failed->max_overshoot_ns);
+}
+
+// ------------------------------------------------- timed-path pins ---
+//
+// The HBO family's timed paths, pinned, so that any change to a deadline
+// check, gate wait or abandonment shows here. The campaign checks only
+// its own audit and its determinism across job counts.
+
+struct CampaignPin
+{
+    const char* preset;
+    const char* lock;
+    int nodes;
+    int cpus_per_node;
+    std::uint64_t seed;
+    std::uint64_t steps;
+    std::uint64_t acquisitions;
+    std::uint64_t timeouts;
+    std::uint64_t max_overshoot_ns;
+    std::uint64_t abandons;
+};
+
+TEST(TimedPins, HboCampaignCells)
+{
+    CampaignConfig cfg;
+    cfg.presets = {"none", "spinner", "holderdeath"};
+    cfg.kinds = {LockKind::HboGt, LockKind::HboGtSd, LockKind::HboHier};
+    cfg.shapes = {CampaignShape{2, 2}, CampaignShape{2, 4}};
+    cfg.num_seeds = 2;
+    cfg.jobs = 1;
+    const CampaignResult result = run_campaign(cfg);
+
+    // clang-format off
+    const CampaignPin pins[] = {
+        {"none", "HBO_GT", 2, 2, 1, 100, 12, 0, 0, 0},
+        {"none", "HBO_GT", 2, 2, 2, 100, 12, 0, 0, 0},
+        {"none", "HBO_GT", 2, 4, 1, 200, 24, 0, 0, 0},
+        {"none", "HBO_GT", 2, 4, 2, 200, 24, 0, 0, 0},
+        {"none", "HBO_GT_SD", 2, 2, 1, 100, 12, 0, 0, 0},
+        {"none", "HBO_GT_SD", 2, 2, 2, 100, 12, 0, 0, 0},
+        {"none", "HBO_GT_SD", 2, 4, 1, 200, 24, 0, 0, 0},
+        {"none", "HBO_GT_SD", 2, 4, 2, 200, 24, 0, 0, 0},
+        {"none", "HBO_HIER", 2, 2, 1, 100, 12, 0, 0, 0},
+        {"none", "HBO_HIER", 2, 2, 2, 100, 12, 0, 0, 0},
+        {"none", "HBO_HIER", 2, 4, 1, 200, 24, 0, 0, 0},
+        {"none", "HBO_HIER", 2, 4, 2, 200, 24, 0, 0, 0},
+        {"spinner", "HBO_GT", 2, 2, 1, 100, 12, 0, 0, 0},
+        {"spinner", "HBO_GT", 2, 2, 2, 100, 12, 0, 0, 0},
+        {"spinner", "HBO_GT", 2, 4, 1, 200, 24, 0, 0, 0},
+        {"spinner", "HBO_GT", 2, 4, 2, 200, 24, 0, 0, 0},
+        {"spinner", "HBO_GT_SD", 2, 2, 1, 100, 12, 0, 0, 0},
+        {"spinner", "HBO_GT_SD", 2, 2, 2, 100, 12, 0, 0, 0},
+        {"spinner", "HBO_GT_SD", 2, 4, 1, 200, 24, 0, 0, 0},
+        {"spinner", "HBO_GT_SD", 2, 4, 2, 200, 24, 0, 0, 0},
+        {"spinner", "HBO_HIER", 2, 2, 1, 100, 12, 0, 0, 0},
+        {"spinner", "HBO_HIER", 2, 2, 2, 100, 12, 0, 0, 0},
+        {"spinner", "HBO_HIER", 2, 4, 1, 200, 24, 0, 0, 0},
+        {"spinner", "HBO_HIER", 2, 4, 2, 200, 24, 0, 0, 0},
+        {"holderdeath", "HBO_GT", 2, 2, 1, 294, 5, 6, 29005, 6},
+        {"holderdeath", "HBO_GT", 2, 2, 2, 382, 2, 9, 29389, 9},
+        {"holderdeath", "HBO_GT", 2, 4, 1, 794, 5, 18, 31600, 18},
+        {"holderdeath", "HBO_GT", 2, 4, 2, 866, 2, 21, 31979, 21},
+        {"holderdeath", "HBO_GT_SD", 2, 2, 1, 448, 5, 6, 3666, 6},
+        {"holderdeath", "HBO_GT_SD", 2, 2, 2, 592, 2, 9, 5877, 9},
+        {"holderdeath", "HBO_GT_SD", 2, 4, 1, 1240, 5, 18, 7800, 18},
+        {"holderdeath", "HBO_GT_SD", 2, 4, 2, 1292, 2, 21, 9080, 21},
+        {"holderdeath", "HBO_HIER", 2, 2, 1, 294, 5, 6, 29005, 6},
+        {"holderdeath", "HBO_HIER", 2, 2, 2, 382, 2, 9, 29389, 9},
+        {"holderdeath", "HBO_HIER", 2, 4, 1, 794, 5, 18, 31600, 18},
+        {"holderdeath", "HBO_HIER", 2, 4, 2, 866, 2, 21, 31979, 21},
+    };
+    // clang-format on
+    ASSERT_EQ(result.cells.size(), std::size(pins));
+    EXPECT_EQ(result.failures, 0u);
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+        const CampaignCell& cell = result.cells[i];
+        const CampaignPin& pin = pins[i];
+        const std::string name = cell.preset + " " + cell.lock + " " +
+                                 std::to_string(cell.nodes) + "x" +
+                                 std::to_string(cell.cpus_per_node) +
+                                 " seed " + std::to_string(cell.seed);
+        EXPECT_EQ(cell.preset, pin.preset) << i;
+        EXPECT_EQ(cell.lock, pin.lock) << i;
+        EXPECT_EQ(cell.nodes, pin.nodes) << i;
+        EXPECT_EQ(cell.cpus_per_node, pin.cpus_per_node) << i;
+        EXPECT_EQ(cell.seed, pin.seed) << i;
+        EXPECT_EQ(cell.steps, pin.steps) << name;
+        EXPECT_EQ(cell.acquisitions, pin.acquisitions) << name;
+        EXPECT_EQ(cell.timeouts, pin.timeouts) << name;
+        EXPECT_EQ(cell.max_overshoot_ns, pin.max_overshoot_ns) << name;
+        EXPECT_EQ(cell.abandon.abandons, pin.abandons) << name;
+    }
+}
+
+/** A newbench run whose survivors wait with acquire_for: the "death"
+ *  plan drawn from @p fault_seed kills a thread, and the timeout is short
+ *  enough to expire. */
+harness::NewBenchConfig
+timed_newbench(const Topology& topology, std::uint64_t fault_seed)
+{
+    harness::NewBenchConfig config;
+    config.topology = topology;
+    config.threads = topology.num_cpus();
+    config.critical_work = 1500;
+    config.recovery_timeout_ns = 200'000;
+    config.fault_plan =
+        *FaultPlan::parse("death", fault_seed, config.threads);
+    return config;
+}
+
+/** get_angry_limit = 1: the timed HBO_GT_SD path both gets angry and
+ *  times out. */
+TEST(TimedPins, AngryHboGtSdUnderDeath)
+{
+    harness::NewBenchConfig config =
+        timed_newbench(Topology::symmetric(2, 4), 3);
+    config.iterations_per_thread = 30;
+    config.params.get_angry_limit = 1;
+    obs::MetricsRegistry reg;
+    config.probe = &reg;
+    const harness::BenchResult r =
+        harness::run_newbench(LockKind::HboGtSd, config);
+    reg.finalize();
+    EXPECT_EQ(r.acquisition_order_hash, 0x700b0529127108f3u);
+    EXPECT_EQ(r.total_time, 1'302'100u);
+    EXPECT_EQ(r.lock_timeouts, 7u);
+    ASSERT_NE(reg.primary(), nullptr);
+    EXPECT_GT(reg.primary()->angry_transitions, 0u);
+}
+
+/** HBO_HIER's chip and node levels on a two-level machine. */
+TEST(TimedPins, HboHierOnChipsUnderDeath)
+{
+    harness::NewBenchConfig config =
+        timed_newbench(Topology::hierarchical(2, 2, 4), 1);
+    config.iterations_per_thread = 20;
+    const harness::BenchResult r =
+        harness::run_newbench(LockKind::HboHier, config);
+    EXPECT_EQ(r.acquisition_order_hash, 0x51db86b59249ca25u);
+    EXPECT_EQ(r.total_time, 1'872'575u);
+    EXPECT_EQ(r.lock_timeouts, 12u);
+    EXPECT_EQ(r.total_acquires, 62u);
+}
+
+/** A death planned long after the run ends makes newbench wait with
+ *  acquire_for on every acquisition, and the 20 ms timeout is never
+ *  reached. So these runs take the timed path under full contention:
+ *  gate waits, anger, the lock leaving the node, HBO_HIER's chip level. */
+TEST(TimedPins, ContendedTimedRuns)
+{
+    struct Pin
+    {
+        LockKind kind;
+        bool chips;
+        std::uint64_t hash;
+        SimTime time;
+        std::uint64_t acquires;
+    };
+    const Pin pins[] = {
+        {LockKind::HboGt, false, 0x27909c55d174c843u, 4'222'915u, 160u},
+        {LockKind::HboGtSd, false, 0x7f6428ea5f3be4a9u, 7'299'799u, 160u},
+        {LockKind::HboGtSd, true, 0x493179d9719a9ce1u, 9'448'313u, 320u},
+        {LockKind::HboHier, true, 0x57a20da1db90bc29u, 5'000'946u, 320u},
+    };
+    for (const Pin& pin : pins) {
+        harness::NewBenchConfig config;
+        config.topology = pin.chips ? Topology::hierarchical(2, 2, 4)
+                                    : Topology::symmetric(2, 4);
+        config.threads = config.topology.num_cpus();
+        config.iterations_per_thread = 20;
+        config.critical_work = 500;
+        config.params.get_angry_limit = 4;
+        config.fault_plan = FaultPlan::thread_death(0, 1'000'000'000);
+        const harness::BenchResult r = harness::run_newbench(pin.kind, config);
+        const std::string name = std::string(lock_name(pin.kind)) +
+                                 (pin.chips ? " on chips" : " flat");
+        EXPECT_EQ(r.acquisition_order_hash, pin.hash) << name;
+        EXPECT_EQ(r.total_time, pin.time) << name;
+        EXPECT_EQ(r.lock_timeouts, 0u) << name;
+        EXPECT_EQ(r.total_acquires, pin.acquires) << name;
+    }
 }
 
 // ---------------------------------------------- abandonment metrics fold --

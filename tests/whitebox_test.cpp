@@ -9,7 +9,6 @@
 #include <map>
 
 #include "locks/hbo.hpp"
-#include "locks/hbo_gt.hpp"
 #include "locks/tatas_exp.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
