@@ -156,6 +156,7 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
     result.sim_fiber_switches = machine.fiber_switches();
     result.sim_run_ahead_picks = machine.run_ahead_picks();
     result.sim_lazy_picks = machine.lazy_picks();
+    result.sim_replayed_picks = machine.replayed_picks();
     return outcome;
 }
 

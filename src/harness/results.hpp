@@ -79,6 +79,12 @@ struct BenchResult
      */
     std::uint64_t sim_lazy_picks = 0;
     /**
+     * The picks among sim_fiber_switches that replayed critical-section
+     * walk lines skipped (SimMachine::replayed_picks). Not written into
+     * the JSON report.
+     */
+    std::uint64_t sim_replayed_picks = 0;
+    /**
      * Host wall-clock nanoseconds spent inside SimMachine::run() alone —
      * the event-processing loop, excluding machine construction, fiber
      * and stack allocation, and result extraction. The only host-varying

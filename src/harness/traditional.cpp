@@ -89,6 +89,7 @@ run_traditional(LockKind kind, const TraditionalConfig& config)
     result.sim_fiber_switches = machine.fiber_switches();
     result.sim_run_ahead_picks = machine.run_ahead_picks();
     result.sim_lazy_picks = machine.lazy_picks();
+    result.sim_replayed_picks = machine.replayed_picks();
     if (config.memory_trace != nullptr) {
         result.memtrace_events = config.memory_trace->events().size();
         result.memtrace_dropped = config.memory_trace->dropped();

@@ -125,17 +125,7 @@ SimContext::lazy_backoff_poll(Ref word, std::uint64_t held, std::uint32_t* b,
 void
 SimContext::touch_array(Ref first, std::uint32_t count, bool write)
 {
-    // One engine event per access: batching a whole array walk into a
-    // single step would call Resource::serve() for future arrival times up
-    // front, making later-issued (but earlier-arriving) transactions queue
-    // behind the entire walk — a FIFO violation that distorts handover
-    // latency under contention.
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const Ref ref = first.at(i);
-        const std::uint64_t v = load(ref);
-        if (write)
-            store(ref, v + 1);
-    }
+    machine_->walk(*this, first, count, write);
 }
 
 void
@@ -329,8 +319,10 @@ SimMachine::run_ahead_or_queue(int tid, SimTime t)
     // earliest event it keeps running on its own stack, and the queue is
     // not written. With faults installed it always goes through the
     // queue — insert, death sweep, pick — so fault plans see the same
-    // sequence of death checks.
-    if (injector_ == nullptr && ready_.before_top(tid, hot.wake)) {
+    // sequence of death checks. A wake past the time limit does too: its
+    // pick fails, after rolling any parked polls forward (pick_next).
+    if (injector_ == nullptr && hot.wake <= cfg_.max_sim_time &&
+        ready_.before_top(tid, hot.wake)) {
         ++run_ahead_picks_;
         advance_to(hot.wake);
         return true;
@@ -544,6 +536,72 @@ SimMachine::do_access(SimContext& ctx, MemOp op, MemRef ref, std::uint64_t a,
     return out;
 }
 
+std::uint64_t
+SimMachine::walk_access(SimContext& ctx, ThreadHot& hot, MemOp op, MemRef ref,
+                        std::uint64_t a, bool& ahead)
+{
+    const AccessOutcome out = access_core(ctx, hot, op, ref, a, 0);
+    if (!run_ahead_or_queue(ctx.tid_, out.complete)) {
+        // Other threads run next: their transactions are not the line's.
+        memory_.drop_line();
+        ahead = false;
+        dispatch();
+    }
+    return out.old_value;
+}
+
+void
+SimMachine::walk(SimContext& ctx, MemRef first, std::uint32_t count,
+                 bool write)
+{
+    // Batching a walk into one engine step would serve its transactions
+    // ahead of earlier-arriving ones of other threads, a FIFO violation
+    // that distorts handover latency under contention. A replay instead
+    // covers only lines that complete before any other thread's event.
+    const int tid = ctx.tid_;
+    ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
+    for (std::uint32_t i = 0; i < count;) {
+        const MemRef ref = first.at(i++);
+        if (!replays_walks_ || i == count || hot.handover_pending ||
+            ctx.op_transient_ != TxPhase::None || !memory_.begin_line(ref)) {
+            const std::uint64_t v = ctx.load(ref);
+            if (write)
+                ctx.store(ref, v + 1);
+            continue;
+        }
+        // The template: both accesses labelled with the op phase alone.
+        const SimTime start = now_;
+        bool ahead = true;
+        const std::uint64_t v =
+            walk_access(ctx, hot, MemOp::Load, ref, 0, ahead);
+        if (write)
+            walk_access(ctx, hot, MemOp::Store, ref, v + 1, ahead);
+        if (!ahead || !memory_.end_line(ref))
+            continue;
+        // Each line after it that is in its state would run ahead through
+        // the same accesses, one period later, while its last completion
+        // precedes the root's (wake, tid) and the time limit. Past those,
+        // the next line runs literally: it dispatches or fails there.
+        const SimTime period = now_ - start;
+        std::uint32_t n = 0;
+        while (i + n < count && memory_.matches_line(first.at(i + n))) {
+            const SimTime end = now_ + (n + 1) * period;
+            if (end > cfg_.max_sim_time || !ready_.before_top(tid, end))
+                break;
+            ++n;
+        }
+        if (n == 0)
+            continue;
+        memory_.replay_lines(first.at(i), n, write, period);
+        i += n;
+        now_ += n * period;
+        hot.wake = now_;
+        const std::uint64_t picks = std::uint64_t{n} * (write ? 2 : 1);
+        fiber_switches_ += picks;
+        replayed_picks_ += picks;
+    }
+}
+
 void
 SimMachine::unpark_poll(int tid, SimTime t, int by)
 {
@@ -667,6 +725,8 @@ SimMachine::run()
                    probe_ == nullptr && !memory_.has_trace_hook() &&
                    (checker_ == nullptr ||
                     checker_->config().watchdog_window_ns == 0);
+    replays_walks_ = parks_polls_ && !cfg_.preemption &&
+                     memory_.global_link().series_bin_ns() == 0;
     if (scheduler_ != nullptr)
         run_controlled();
     else

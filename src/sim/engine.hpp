@@ -151,7 +151,10 @@ class SimContext
     /**
      * Read (and, when @p write, also increment) @p count consecutive words
      * starting at @p first — the critical-section data access of the
-     * microbenchmarks, batched into one engine event for speed.
+     * microbenchmarks: a load per word, then a store of the value plus
+     * one. Each access is one engine event, as if written out, but the
+     * engine may replay a walk's lines in bulk instead of running them
+     * (SimMachine::walk): same picks, events, traffic and values.
      */
     void touch_array(Ref first, std::uint32_t count, bool write);
 
@@ -297,14 +300,14 @@ class SimMachine
      * after every blocking operation, and once per thread finish). A pick
      * is not necessarily a host stack switch: a timed-mode pick that
      * chooses the thread that just blocked lets it run ahead on its own
-     * stack, and the lazy picks are never made at all.
+     * stack, and the lazy and replayed picks are never made at all.
      */
     std::uint64_t fiber_switches() const { return fiber_switches_; }
 
     /**
-     * The timed-mode picks the engine made (lazy picks excluded) that
-     * chose the thread which had just blocked: it runs on with no switch
-     * (and, without faults installed, no ready-queue write).
+     * The timed-mode picks the engine made (lazy and replayed picks
+     * excluded) that chose the thread which had just blocked: it runs on
+     * with no switch (and, without faults installed, no ready-queue write).
      */
     std::uint64_t run_ahead_picks() const { return run_ahead_picks_; }
 
@@ -315,6 +318,13 @@ class SimMachine
      * SimContext::lazy_backoff_poll).
      */
     std::uint64_t lazy_picks() const { return lazy_picks_; }
+
+    /**
+     * The picks among fiber_switches() that replayed walk lines skipped:
+     * the ends of the loads and stores of critical-section walk lines
+     * applied in bulk (see walk()).
+     */
+    std::uint64_t replayed_picks() const { return replayed_picks_; }
 
     /**
      * Install a fault injector (non-owning; nullptr uninstalls). Must be
@@ -491,6 +501,30 @@ class SimMachine
     AccessOutcome access_core(SimContext& ctx, ThreadHot& hot, MemOp op,
                               MemRef ref, std::uint64_t a, std::uint64_t b);
 
+    /**
+     * The engine side of SimContext::touch_array(). Each line runs
+     * literally, as a load and (when @p write) a store of the value plus
+     * one, until a line qualifies as a template: replays_walks_, no
+     * handover tag or transient phase pending, no watchers on it, and a
+     * line after it. SimMemory records the template. When both its
+     * accesses ran ahead and every serve found its resource idle, each
+     * following line in the template's state whose store (or load)
+     * completes a whole number of template periods later, still before
+     * the ready queue's root and within max_sim_time, is replayed in bulk
+     * (SimMemory::replay_lines): no other thread has an event in between,
+     * so those lines take the template's time and effects.
+     */
+    void walk(SimContext& ctx, MemRef first, std::uint32_t count, bool write);
+
+    /**
+     * One access of a walk's template line: do_access() as it runs with no
+     * Scheduler or FaultInjector installed. When the thread cannot run
+     * ahead, drops the line record, clears @p ahead and dispatches.
+     * Returns the word's old value.
+     */
+    std::uint64_t walk_access(SimContext& ctx, ThreadHot& hot, MemOp op,
+                              MemRef ref, std::uint64_t a, bool& ahead);
+
     /** The engine side of SimContext::lazy_backoff_poll(). */
     SimContext::PollOutcome lazy_poll(SimContext& ctx, MemRef word,
                                       std::uint64_t held, std::uint32_t* b,
@@ -659,11 +693,15 @@ class SimMachine
     bool ran_ = false;
     /** Set by run() (SimContext::can_park_polls). */
     bool parks_polls_ = false;
+    /** Set by run(): parks_polls_, and neither preemption, which draws at
+     *  every wake, nor a contention series, which bins every serve. */
+    bool replays_walks_ = false;
     /** Threads parked in lazy polls (ThreadHot::lazy). */
     std::size_t parked_polls_ = 0;
     std::uint64_t fiber_switches_ = 0;
     std::uint64_t run_ahead_picks_ = 0;
     std::uint64_t lazy_picks_ = 0;
+    std::uint64_t replayed_picks_ = 0;
     std::uint64_t sched_steps_ = 0;
     StopReason stop_ = StopReason::Completed;
     FaultInjector* injector_ = nullptr;   // non-owning

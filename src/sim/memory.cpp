@@ -30,6 +30,8 @@ SimMemory::SimMemory(const Topology& topo, const LatencyModel& lat)
     node_tx_.resize(static_cast<std::size_t>(topo_.num_nodes()));
 
     words_per_line_ = static_cast<std::uint32_t>(topo_.num_cpus() + 63) / 64;
+    rec_.pre_sharers.resize(words_per_line_);
+    rec_.post_sharers.resize(words_per_line_);
 
     // Dense cpu -> node/chip lookups: Topology answers these with binary
     // searches, which is fine for setup but not for the per-access path.
@@ -177,15 +179,29 @@ SimMemory::contention(SimTime now) const
 }
 
 SimTime
+SimMemory::serve(Resource& r, SimTime arrival, SimTime occupancy)
+{
+    const SimTime end = r.serve(arrival, occupancy);
+    if (rec_.active && rec_.idle) {
+        if (end == arrival + occupancy &&
+            rec_.num_serves < LineRecord::kMaxServes)
+            rec_.serves[rec_.num_serves++] = {&r, arrival, occupancy};
+        else
+            rec_.idle = false;
+    }
+    return end;
+}
+
+SimTime
 SimMemory::route(SimTime t, int from_node, int to_node)
 {
-    t = node_bus(from_node).serve(t, lat_.node_bus_occupancy);
+    t = serve(node_bus(from_node), t, lat_.node_bus_occupancy);
     if (from_node != to_node) {
         // A fault-injected link spike lengthens the service time, so the
         // spike also queues every later transaction behind it (congestion).
         const SimTime extra = link_hook_ ? link_hook_(t) : 0;
-        t = global_link_.serve(t, lat_.global_link_occupancy + extra);
-        t = node_bus(to_node).serve(t, lat_.node_bus_occupancy);
+        t = serve(global_link_, t, lat_.global_link_occupancy + extra);
+        t = serve(node_bus(to_node), t, lat_.node_bus_occupancy);
     }
     return t;
 }
@@ -384,6 +400,88 @@ SimMemory::access(MemOp op, int cpu, SimTime now, MemRef ref, std::uint64_t a,
                                out.old_value, line.value});
     }
     return out;
+}
+
+bool
+SimMemory::begin_line(MemRef ref)
+{
+    const Line& line = line_of(ref);
+    if (line.watcher_head != -1)
+        return false;
+    rec_.active = true;
+    rec_.idle = true;
+    rec_.pre = line;
+    const std::uint64_t* sw = sharers_of(ref.line);
+    std::copy(sw, sw + words_per_line_, rec_.pre_sharers.begin());
+    rec_.traffic = traffic_;
+    rec_.accesses = accesses_;
+    rec_.num_serves = 0;
+    return true;
+}
+
+bool
+SimMemory::end_line(MemRef ref)
+{
+    NUCA_ASSERT(rec_.active, "end_line without a line record");
+    rec_.active = false;
+    if (!rec_.idle)
+        return false;
+    rec_.post = line_of(ref);
+    const std::uint64_t* sw = sharers_of(ref.line);
+    std::copy(sw, sw + words_per_line_, rec_.post_sharers.begin());
+    rec_.traffic = traffic_ - rec_.traffic;
+    rec_.accesses = accesses_ - rec_.accesses;
+    return true;
+}
+
+bool
+SimMemory::matches_line(MemRef ref) const
+{
+    // All of the state but the value, and the watcher tail, which is -1
+    // exactly when the head is.
+    const Line& line = line_of(ref);
+    const Line& pre = rec_.pre;
+    const std::uint64_t* sw = sharers_of(ref.line);
+    return line.sharer_nodes == pre.sharer_nodes &&
+           line.watcher_head == pre.watcher_head &&
+           line.owner_cpu == pre.owner_cpu &&
+           line.home_node == pre.home_node && line.is_gate == pre.is_gate &&
+           std::equal(sw, sw + words_per_line_, rec_.pre_sharers.begin());
+}
+
+void
+SimMemory::replay_lines(MemRef first, std::uint32_t n, bool write,
+                        SimTime period)
+{
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const MemRef ref = first.at(i);
+        Line& line = line_of(ref);
+        line.owner_cpu = rec_.post.owner_cpu;
+        line.sharer_nodes = rec_.post.sharer_nodes;
+        if (write)
+            ++line.value;
+        std::copy(rec_.post_sharers.begin(), rec_.post_sharers.end(),
+                  sharers_of(ref.line));
+    }
+    // Every line counts the recorded transactions, from the walker's node
+    // in the walk's op context: both are still those of the recorded line.
+    const TrafficStats& d = rec_.traffic;
+    traffic_.local_tx += n * d.local_tx;
+    traffic_.global_tx += n * d.global_tx;
+    traffic_.data_fetch_tx += n * d.data_fetch_tx;
+    traffic_.invalidation_tx += n * d.invalidation_tx;
+    traffic_.atomic_tx += n * d.atomic_tx;
+    const TxCount tx{n * d.local_tx, n * d.global_tx};
+    node_tx_[static_cast<std::size_t>(requester_node_)] += tx;
+    if (tx_lock_row_ != kNoRow)
+        lock_tx_.row(tx_lock_row_).by_phase[static_cast<std::size_t>(tx_phase_)] +=
+            tx;
+    for (std::size_t s = 0; s < rec_.num_serves; ++s) {
+        const LineRecord::Serve& serve = rec_.serves[s];
+        serve.resource->serve_idle(n, serve.arrival + n * period,
+                                   serve.occupancy);
+    }
+    accesses_ += n * rec_.accesses;
 }
 
 std::uint64_t

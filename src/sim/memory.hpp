@@ -29,6 +29,7 @@
 #ifndef NUCALOCK_SIM_MEMORY_HPP
 #define NUCALOCK_SIM_MEMORY_HPP
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -176,6 +177,40 @@ class SimMemory
     void count_skipped_hits(std::uint64_t n) { accesses_ += n; }
 
     /**
+     * Record one line of a critical-section walk, to replay its accesses
+     * on the lines after it (SimMachine::walk). begin_line() snapshots
+     * line @p ref's state and records, until end_line(), the traffic and
+     * accesses counted and every resource serve made. It refuses a line
+     * with watchers, whose write would wake them. drop_line() ends a
+     * record that will not be replayed.
+     */
+    bool begin_line(MemRef ref);
+    void drop_line() { rec_.active = false; }
+
+    /**
+     * End the record of line @p ref. Whether it can be replayed: every
+     * serve found its resource idle. The same accesses to a line in the
+     * same state, by the same cpu in the same op context, then take the
+     * same time and have the same effects when issued a whole number of
+     * periods later with no other transaction in between.
+     */
+    bool end_line(MemRef ref);
+
+    /** Whether line @p ref's state, all but its value, is the recorded
+     *  line's state before its accesses. */
+    bool matches_line(MemRef ref) const;
+
+    /**
+     * Apply the ended record to the @p n lines from @p first, as if the
+     * k-th of them had been accessed k * @p period after the recorded
+     * line: each gets the recorded line's state after its accesses (and
+     * its value 1 more when @p write), and the traffic, accesses and
+     * resource serves are counted n times over.
+     */
+    void replay_lines(MemRef first, std::uint32_t n, bool write,
+                      SimTime period);
+
+    /**
      * Install a per-access trace hook (see sim/trace.hpp). Pass an empty
      * function to disable. The hook runs synchronously inside access().
      */
@@ -285,6 +320,38 @@ class SimMemory
     bool node_has_sharer_other_than(const std::uint64_t* sw, int node,
                                     int cpu) const;
 
+    /**
+     * One line of a walk, between begin_line() and end_line(): its state
+     * before and after, the traffic and accesses it counted, and its
+     * serves while each found its resource idle.
+     */
+    struct LineRecord
+    {
+        struct Serve
+        {
+            Resource* resource = nullptr;
+            SimTime arrival = 0;
+            SimTime occupancy = 0;
+        };
+        /** A remote fetch and a remote invalidation use six. */
+        static constexpr std::size_t kMaxServes = 8;
+
+        bool active = false;
+        bool idle = true;
+        Line pre;
+        Line post;
+        std::vector<std::uint64_t> pre_sharers;
+        std::vector<std::uint64_t> post_sharers;
+        /** The totals at begin_line(), the line's own after end_line(). */
+        TrafficStats traffic;
+        std::uint64_t accesses = 0;
+        std::array<Serve, kMaxServes> serves{};
+        std::size_t num_serves = 0;
+    };
+
+    /** Resource::serve(), noted in the line record while one is taken. */
+    SimTime serve(Resource& r, SimTime arrival, SimTime occupancy);
+
     /** Queue one transaction from @p from_node to @p to_node at @p t. */
     SimTime route(SimTime t, int from_node, int to_node);
 
@@ -331,6 +398,7 @@ class SimMemory
     std::uint64_t accesses_ = 0;
     std::function<void(const struct TraceEvent&)> trace_hook_;
     std::function<SimTime(SimTime)> link_hook_;
+    LineRecord rec_;
 
     // ----- traffic attribution (accounting only, never affects timing) ----
     /** Initiating node of the access in flight (set by access()). */

@@ -50,15 +50,4 @@ Resource::usage(int node) const
     return u;
 }
 
-void
-Resource::reset_stats()
-{
-    busy_ = 0;
-    queued_ = 0;
-    transactions_ = 0;
-    queue_delay_ = stats::LogHistogram{};
-    busy_bins_.clear();
-    tx_bins_.clear();
-}
-
 } // namespace nucalock::sim

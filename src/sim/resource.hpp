@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "sim/time.hpp"
 #include "stats/histogram.hpp"
 
@@ -99,6 +100,22 @@ class Resource
         return next_free_;
     }
 
+    /**
+     * What @p n serve() calls of @p occupancy ns record when each arrives
+     * with the resource idle, the last at @p last_arrival: the replay of a
+     * critical-section walk (SimMemory::replay_lines). Series recording
+     * must be off.
+     */
+    void
+    serve_idle(std::uint64_t n, SimTime last_arrival, SimTime occupancy)
+    {
+        NUCA_ASSERT(series_bin_ns_ == 0, "bulk serve with a series recorded");
+        transactions_ += n;
+        busy_ += n * occupancy;
+        queue_delay_.add_zeros(n);
+        next_free_ = last_arrival + occupancy;
+    }
+
     const std::string& name() const { return name_; }
     std::uint64_t transactions() const { return transactions_; }
     SimTime busy_time() const { return busy_; }
@@ -121,8 +138,6 @@ class Resource
 
     /** Copyable snapshot for results/reports. @p node as in ResourceUsage. */
     ResourceUsage usage(int node) const;
-
-    void reset_stats();
 
   private:
     /** Series bookkeeping, kept out of line so serve()'s inline body stays

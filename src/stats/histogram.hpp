@@ -33,6 +33,14 @@ class LogHistogram
         sum_ += value;
     }
 
+    /** add(0) @p n times. */
+    void
+    add_zeros(std::uint64_t n)
+    {
+        buckets_[0] += n;
+        count_ += n;
+    }
+
     std::uint64_t count() const { return count_; }
 
     double

@@ -491,6 +491,215 @@ TEST(Engine, DeadlinePollRunsTheLiteralLoop)
     EXPECT_EQ(early.lazy_picks(), 0u);
 }
 
+/** Host-order (tid, now) points where thread bodies ran. */
+using Order = std::vector<std::pair<int, SimTime>>;
+
+/** What the walk tests compare between a machine and its traced twin. */
+struct WalkRun
+{
+    Order order;
+    SimTime end = 0;
+    std::uint64_t picks = 0;
+    std::uint64_t replayed = 0;
+    std::uint64_t accesses = 0;
+    TrafficStats traffic;
+    std::vector<std::uint64_t> values;
+    std::vector<int> owners;
+    ContentionStats contention;
+};
+
+/**
+ * A 2x2 machine with a 64-line array homed in node 1: @p add adds the
+ * threads, which note their points into the order. With @p traced a trace
+ * hook sees every access, so every walk runs literally.
+ */
+WalkRun
+run_walks(bool traced,
+          const std::function<void(SimMachine&, MemRef, Order&)>& add)
+{
+    SimMachine m(Topology::symmetric(2, 2));
+    WalkRun run;
+    std::uint64_t traced_events = 0;
+    if (traced)
+        m.memory().set_trace_hook(
+            [&traced_events](const TraceEvent&) { ++traced_events; });
+    const MemRef arr = m.alloc_array(64, 0, 1);
+    add(m, arr, run.order);
+    m.run();
+    run.end = m.now();
+    run.picks = m.fiber_switches();
+    run.replayed = m.replayed_picks();
+    run.accesses = m.memory().num_accesses();
+    run.traffic = m.traffic();
+    run.contention = m.contention();
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        run.values.push_back(m.memory().peek(arr.at(i)));
+        run.owners.push_back(m.memory().owner_cpu(arr.at(i)));
+    }
+    if (traced) {
+        EXPECT_EQ(traced_events, run.accesses);
+    }
+    return run;
+}
+
+/** The same simulated run, apart from the replayed picks. */
+void
+expect_same_walks(const WalkRun& a, const WalkRun& b)
+{
+    EXPECT_EQ(a.order, b.order);
+    EXPECT_EQ(a.end, b.end);
+    EXPECT_EQ(a.picks, b.picks);
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.traffic.local_tx, b.traffic.local_tx);
+    EXPECT_EQ(a.traffic.global_tx, b.traffic.global_tx);
+    EXPECT_EQ(a.traffic.data_fetch_tx, b.traffic.data_fetch_tx);
+    EXPECT_EQ(a.traffic.invalidation_tx, b.traffic.invalidation_tx);
+    EXPECT_EQ(a.values, b.values);
+    EXPECT_EQ(a.owners, b.owners);
+    ASSERT_EQ(a.contention.resources.size(), b.contention.resources.size());
+    for (std::size_t r = 0; r < a.contention.resources.size(); ++r) {
+        const ResourceUsage& x = a.contention.resources[r];
+        const ResourceUsage& y = b.contention.resources[r];
+        EXPECT_EQ(x.transactions, y.transactions) << x.name;
+        EXPECT_EQ(x.busy_ns, y.busy_ns) << x.name;
+        EXPECT_EQ(x.queue_ns, y.queue_ns) << x.name;
+        EXPECT_EQ(x.queue_delay_ns.bucket_count(0),
+                  y.queue_delay_ns.bucket_count(0))
+            << x.name;
+        EXPECT_EQ(x.queue_delay_ns.count(), y.queue_delay_ns.count())
+            << x.name;
+    }
+}
+
+/** A lone thread on cpu 0 walks the array once. */
+std::function<void(SimMachine&, MemRef, Order&)>
+lone_walk(bool write)
+{
+    return [write](SimMachine& m, MemRef arr, Order&) {
+        m.add_thread(0, [arr, write](SimContext& ctx) {
+            ctx.touch_array(arr, 64, write);
+        });
+    };
+}
+
+TEST(Engine, LoneWritingWalkReplaysAfterItsFirstLine)
+{
+    // Each line is homed in the remote node and cached nowhere: the load
+    // fetches it from remote memory through bus 0, the link and bus 1
+    // (done 1906 ns after issue), and the store upgrades the only copy
+    // (6 ns more, a local transaction with no bus). Line 0 runs, and lines
+    // 1-63 replay it: 126 of the 129 picks.
+    const WalkRun run = run_walks(false, lone_walk(true));
+    EXPECT_EQ(run.end, 64u * 1912u);
+    EXPECT_EQ(run.picks, 129u);
+    EXPECT_EQ(run.replayed, 126u);
+    EXPECT_EQ(run.accesses, 128u);
+    EXPECT_EQ(run.traffic.global_tx, 64u);
+    EXPECT_EQ(run.traffic.local_tx, 64u);
+    EXPECT_EQ(run.traffic.data_fetch_tx, 128u);
+    EXPECT_EQ(run.values, std::vector<std::uint64_t>(64, 1));
+    EXPECT_EQ(run.owners, std::vector<int>(64, 0));
+    const std::vector<ResourceUsage>& r = run.contention.resources;
+    ASSERT_EQ(r.size(), 3u);
+    for (const ResourceUsage& u : r) {
+        EXPECT_EQ(u.transactions, 64u) << u.name;
+        EXPECT_EQ(u.busy_ns, 64u * (u.node < 0 ? 110u : 45u)) << u.name;
+        EXPECT_EQ(u.queue_ns, 0u) << u.name;
+        EXPECT_EQ(u.queue_delay_ns.bucket_count(0), 64u) << u.name;
+    }
+    const WalkRun literal = run_walks(true, lone_walk(true));
+    EXPECT_EQ(literal.replayed, 0u);
+    expect_same_walks(run, literal);
+}
+
+TEST(Engine, LoneReadOnlyWalkReplaysAfterItsFirstLine)
+{
+    // Loads only, 1906 ns each: the lines stay in memory, shared by cpu 0.
+    const WalkRun run = run_walks(false, lone_walk(false));
+    EXPECT_EQ(run.end, 64u * 1906u);
+    EXPECT_EQ(run.picks, 65u);
+    EXPECT_EQ(run.replayed, 63u);
+    EXPECT_EQ(run.accesses, 64u);
+    EXPECT_EQ(run.traffic.global_tx, 64u);
+    EXPECT_EQ(run.traffic.local_tx, 0u);
+    EXPECT_EQ(run.values, std::vector<std::uint64_t>(64, 0));
+    EXPECT_EQ(run.owners, std::vector<int>(64, -1));
+    for (const ResourceUsage& u : run.contention.resources)
+        EXPECT_EQ(u.transactions, 64u) << u.name;
+    const WalkRun literal = run_walks(true, lone_walk(false));
+    EXPECT_EQ(literal.replayed, 0u);
+    expect_same_walks(run, literal);
+}
+
+TEST(Engine, ReplayStopsAtAnotherThreadsTimer)
+{
+    // t1's timers at 20000 and 50000 land inside t0's walk, whose lines
+    // end every 1912 ns. Line 0's load queues behind t1's start, so it is
+    // no template; line 1 is, and lines 2-9 replay it (to 19120). Line
+    // 10's load ends at 21026, after t1's wake: t0 queues, t1 runs, then
+    // t0 stores. Line 11 runs and lines 12-25 replay (to 49712); line 26's
+    // load queues behind t1 again. Line 27 runs and lines 28-63 replay.
+    // 58 lines, 116 picks.
+    const auto add = [](SimMachine& m, MemRef arr, Order& order) {
+        m.add_thread(0, [arr, &order](SimContext& ctx) {
+            order.emplace_back(0, ctx.now());
+            ctx.touch_array(arr, 64, true);
+            order.emplace_back(0, ctx.now());
+        });
+        m.add_thread(1, [&order](SimContext& ctx) {
+            order.emplace_back(1, ctx.now());
+            ctx.delay_ns(20'000);
+            order.emplace_back(1, ctx.now());
+            ctx.delay_ns(30'000);
+            order.emplace_back(1, ctx.now());
+        });
+    };
+    const WalkRun run = run_walks(false, add);
+    const Order expected = {
+        {0, 0}, {1, 0}, {1, 20'000}, {1, 50'000}, {0, 64 * 1912}};
+    EXPECT_EQ(run.order, expected);
+    EXPECT_EQ(run.replayed, 116u);
+    EXPECT_EQ(run.picks, 132u);
+    const WalkRun literal = run_walks(true, add);
+    EXPECT_EQ(literal.replayed, 0u);
+    expect_same_walks(run, literal);
+}
+
+TEST(Engine, ReplayStopsAtTheFirstLineInAnotherState)
+{
+    // t1 (cpu 2, node 1) writes lines 10-63, then t0 (cpu 0) writes lines
+    // 0-9 and walks all 64. It owns lines 0-9 exclusively: line 0 runs (a
+    // hit and an owned store, 21 + 31 ns) and lines 1-9 replay it. Line 10
+    // is t1's, so the replay stops there: line 10 runs (a remote
+    // cache-to-cache fetch, 2026 ns, and a store that invalidates node 1,
+    // 506 ns) and lines 11-63 replay it.
+    std::uint64_t replayed_in_walk = 0;
+    const auto add = [&replayed_in_walk](SimMachine& m, MemRef arr,
+                                         Order& order) {
+        m.add_thread(0, [&m, arr, &order, &replayed_in_walk](SimContext& ctx) {
+            ctx.delay_ns(1'000'000);
+            ctx.touch_array(arr, 10, true);
+            order.emplace_back(0, ctx.now());
+            const std::uint64_t before = m.replayed_picks();
+            ctx.touch_array(arr, 64, true);
+            replayed_in_walk = m.replayed_picks() - before;
+            order.emplace_back(0, ctx.now());
+        });
+        m.add_thread(2, [arr](SimContext& ctx) {
+            ctx.touch_array(arr.at(10), 54, true);
+        });
+    };
+    const WalkRun run = run_walks(false, add);
+    EXPECT_EQ(replayed_in_walk, 2u * (9 + 53));
+    EXPECT_EQ(run.values, std::vector<std::uint64_t>(64, 2));
+    EXPECT_EQ(run.owners, std::vector<int>(64, 0));
+    EXPECT_EQ(run.order[1].second - run.order[0].second,
+              10u * 52u + 54u * 2532u);
+    const WalkRun literal = run_walks(true, add);
+    EXPECT_EQ(literal.replayed, 0u);
+    expect_same_walks(run, literal);
+}
+
 TEST(EngineDeathTest, DeadlockIsDiagnosed)
 {
     SimMachine m(Topology::symmetric(1, 2));
@@ -683,6 +892,56 @@ TEST(EngineDeathTest, TimeLimitInsideALazyPollIsTheLiteralDiagnosis)
             ctx.delay_ns(700);
         }
     });
+}
+
+TEST(EngineDeathTest, TimeLimitInsideAReplayedWalkIsTheLiteralDiagnosis)
+{
+    // t0 walks 64 lines forever, t1 wakes every 7 us, and t2 polls a held
+    // word. The 300 us limit falls inside a replayed stretch of a walk:
+    // the replay stops at the last line that ends within it, and the next
+    // line's access fails the limit, as the literal walk's does.
+    const auto run = [](bool literal) {
+        SimConfig cfg;
+        cfg.max_sim_time = 300'000;
+        SimMachine m(Topology::symmetric(2, 2), LatencyModel::wildfire(), cfg);
+        CountingSink sink;
+        if (literal)
+            m.install_probe(&sink);
+        const MemRef arr = m.alloc_array(64, 0, 1);
+        const MemRef word = m.alloc(1, 0);
+        m.add_thread(0, [arr](SimContext& ctx) {
+            while (true)
+                ctx.touch_array(arr, 64, true);
+        });
+        m.add_thread(1, [](SimContext& ctx) {
+            while (true)
+                ctx.delay_ns(7'000);
+        });
+        m.add_thread(2, [word](SimContext& ctx) {
+            std::uint32_t b = 64;
+            locks::backoff_poll(ctx, word, 1, &b, 2, 256, true);
+        });
+        m.run();
+    };
+    std::string replayed;
+    std::string literal;
+    EXPECT_EXIT(run(false), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                ::testing::Matcher<const std::string&>(
+                    new CapturedStderr(&replayed)));
+    EXPECT_EXIT(run(true), ::testing::ExitedWithCode(kDiagnosisExitCode),
+                ::testing::Matcher<const std::string&>(
+                    new CapturedStderr(&literal)));
+    const auto diagnosis = [](const std::string& text) {
+        return text.substr(std::min(text.find("diagnosed failure: "),
+                                    text.size()));
+    };
+    EXPECT_EQ(diagnosis(replayed).rfind("diagnosed failure: simulated time "
+                                        "exceeded max_sim_time (livelock?) "
+                                        "at t=",
+                                        0),
+              0u)
+        << replayed;
+    EXPECT_EQ(diagnosis(replayed), diagnosis(literal));
 }
 
 TEST(EngineDeathTest, InstallProbeAfterRunRejected)

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 
+#include "apps/kv_service.hpp"
 #include "common/rng.hpp"
 #include "harness/newbench.hpp"
 #include "obs/json.hpp"
@@ -457,6 +459,30 @@ expect_same_tx(const sim::TxCount& a, const sim::TxCount& b,
     EXPECT_EQ(a.global_tx, b.global_tx) << where;
 }
 
+/** Every resource's totals, queue-delay buckets and recorded series. */
+void
+expect_same_contention(const sim::ContentionStats& a,
+                       const sim::ContentionStats& b, const std::string& name)
+{
+    EXPECT_EQ(a.sim_time_ns, b.sim_time_ns) << name;
+    EXPECT_EQ(a.series_bin_ns, b.series_bin_ns) << name;
+    ASSERT_EQ(a.resources.size(), b.resources.size()) << name;
+    for (std::size_t r = 0; r < a.resources.size(); ++r) {
+        const sim::ResourceUsage& x = a.resources[r];
+        const sim::ResourceUsage& y = b.resources[r];
+        const std::string where = name + " " + x.name;
+        EXPECT_EQ(x.transactions, y.transactions) << where;
+        EXPECT_EQ(x.busy_ns, y.busy_ns) << where;
+        EXPECT_EQ(x.queue_ns, y.queue_ns) << where;
+        for (int q = 0; q < stats::LogHistogram::kBuckets; ++q)
+            EXPECT_EQ(x.queue_delay_ns.bucket_count(q),
+                      y.queue_delay_ns.bucket_count(q))
+                << where << " queue-delay bucket " << q;
+        EXPECT_EQ(x.busy_ns_bins, y.busy_ns_bins) << where;
+        EXPECT_EQ(x.tx_bins, y.tx_bins) << where;
+    }
+}
+
 void
 expect_same_run(const BenchResult& a, const BenchResult& b,
                 const std::string& name)
@@ -466,8 +492,12 @@ expect_same_run(const BenchResult& a, const BenchResult& b,
     EXPECT_EQ(a.finish_times, b.finish_times) << name;
     EXPECT_EQ(a.traffic.local_tx, b.traffic.local_tx) << name;
     EXPECT_EQ(a.traffic.global_tx, b.traffic.global_tx) << name;
+    EXPECT_EQ(a.traffic.data_fetch_tx, b.traffic.data_fetch_tx) << name;
+    EXPECT_EQ(a.traffic.invalidation_tx, b.traffic.invalidation_tx) << name;
+    EXPECT_EQ(a.traffic.atomic_tx, b.traffic.atomic_tx) << name;
     EXPECT_EQ(a.sim_memory_accesses, b.sim_memory_accesses) << name;
     EXPECT_EQ(a.sim_fiber_switches, b.sim_fiber_switches) << name;
+    expect_same_contention(a.contention, b.contention, name);
 
     const sim::TrafficAttribution& x = a.traffic_attribution;
     const sim::TrafficAttribution& y = b.traffic_attribution;
@@ -490,14 +520,16 @@ expect_same_run(const BenchResult& a, const BenchResult& b,
 
 /**
  * Run @p config three ways and require the same simulated run: bare,
- * where the engine parks the locks' backoff polls; with a memtrace
- * recorder, which makes them run their literal loops; and with a metrics
- * and timeline sink installed, which also does. So this is both the
- * probe-neutrality check and the lazy-vs-literal equivalence check.
- * Compared: order hash, end and per-thread finish times, traffic and its
- * per-(lock, phase) and per-node attribution, and the engine's event and
- * pick counts; the run-ahead counts between the two literal runs. Returns
- * the bare run; @p reg holds the probed run's metrics.
+ * where the engine parks the locks' backoff polls and replays the
+ * critical-section walks; with a memtrace recorder, which makes both run
+ * literally; and with a metrics and timeline sink installed, which also
+ * does. So this is both the probe-neutrality check and the lazy-vs-literal
+ * equivalence check. Compared: order hash, end and per-thread finish
+ * times, traffic with its by-cause fields and its per-(lock, phase) and
+ * per-node attribution, every resource's contention record, and the
+ * engine's event and pick counts; the run-ahead counts between the two
+ * literal runs. Returns the bare run; @p reg holds the probed run's
+ * metrics.
  */
 BenchResult
 expect_probe_neutral(LockKind kind, const NewBenchConfig& config,
@@ -527,6 +559,8 @@ expect_probe_neutral(LockKind kind, const NewBenchConfig& config,
         << name;
     EXPECT_EQ(literal.sim_lazy_picks, 0u) << name;
     EXPECT_EQ(observed.sim_lazy_picks, 0u) << name;
+    EXPECT_EQ(literal.sim_replayed_picks, 0u) << name;
+    EXPECT_EQ(observed.sim_replayed_picks, 0u) << name;
     EXPECT_GT(reg.events_seen(), 0u) << name;
     return bare;
 }
@@ -700,6 +734,93 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
             ++hier_on_chips;
     }
     EXPECT_GT(hier_on_chips, 0);
+}
+
+/**
+ * The replayed-vs-literal walk differential: seventy-five configurations,
+ * each run bare (replayed walks, lazy polls) and with a sink (literal
+ * walks and polls), must give the same simulated run. Every lock runs at
+ * every critical-work level (0, 1, 2, 7 and 157 lines); a shape, private
+ * work and a seed are drawn. Preemption is on in every fourth draw and a
+ * contention series in the draw after it: both force the literal walk,
+ * so those draws compare it with itself under the replaying engine's
+ * other paths, and every lock keeps draws that replay.
+ */
+TEST(ReplayedWalks, MatchTheLiteralWalksOnRandomConfigs)
+{
+    const std::vector<LockKind> kinds = locks::all_lock_kinds();
+    const Topology shapes[] = {Topology::symmetric(1, 4),
+                               Topology::symmetric(2, 14),
+                               Topology::hierarchical(2, 2, 4),
+                               Topology::symmetric(8, 8)};
+    const std::uint32_t critical[] = {0, 16, 32, 100, 2500};
+    const std::uint32_t priv[] = {0, 200, 800, 4000};
+    Xoshiro256 rng(20030209);
+    std::map<LockKind, std::uint64_t> replayed;
+    for (std::size_t i = 0; i < kinds.size() * std::size(critical); ++i) {
+        const LockKind kind = kinds[i % kinds.size()];
+        NewBenchConfig config;
+        // RH is a two-node lock.
+        config.topology = shapes[rng.next_below(kind == LockKind::Rh ? 3 : 4)];
+        config.threads = config.topology.num_cpus();
+        config.iterations_per_thread = config.threads > 4 ? 3 : 12;
+        config.critical_work = critical[i / kinds.size()];
+        config.private_work = priv[rng.next_below(std::size(priv))];
+        config.preemption = i % 4 == 1;
+        config.preempt_mean_interval = 20'000;
+        config.preempt_duration = 5'000;
+        config.contention_bin_ns = i % 4 == 2 ? 5'000 : 0;
+        config.seed = 1 + rng.next_below(1000);
+        const std::string name =
+            std::string(locks::lock_name(kind)) + " " +
+            std::to_string(config.topology.num_nodes()) + "x" +
+            std::to_string(config.topology.cpus_in_node(0)) + " cw " +
+            std::to_string(config.critical_work) + " pw " +
+            std::to_string(config.private_work) +
+            (config.preemption ? " preempted" : "") +
+            (config.contention_bin_ns != 0 ? " series" : "") + " seed " +
+            std::to_string(config.seed);
+
+        const BenchResult bare = run_newbench(kind, config);
+        CountingSink sink;
+        config.probe = &sink;
+        const BenchResult literal = run_newbench(kind, config);
+        expect_same_run(bare, literal, name);
+        EXPECT_EQ(literal.sim_replayed_picks, 0u) << name;
+        if (config.preemption || config.contention_bin_ns != 0) {
+            EXPECT_EQ(bare.sim_replayed_picks, 0u) << name;
+        }
+        replayed[kind] += bare.sim_replayed_picks;
+    }
+    for (LockKind kind : kinds)
+        EXPECT_GT(replayed[kind], 0u) << locks::lock_name(kind);
+}
+
+/** The KV service, bare and with a sink, under every lock: its reads walk
+ *  the stripe's lines without writing them. */
+TEST(ReplayedWalks, KvServiceMatchesTheLiteralWalks)
+{
+    std::uint64_t replayed = 0;
+    for (LockKind kind : locks::all_lock_kinds()) {
+        apps::KvServiceConfig config;
+        config.topology = Topology::symmetric(2, 4);
+        config.threads = 8;
+        config.keys = 256;
+        config.stripes = 4;
+        config.buckets_per_stripe = 8;
+        config.ops_per_thread = 60;
+        config.storm_inserts_per_thread = 8;
+        const std::string name = locks::lock_name(kind);
+        const BenchResult bare = apps::run_kv_service(kind, config).bench;
+        CountingSink sink;
+        config.probe = &sink;
+        const BenchResult literal = apps::run_kv_service(kind, config).bench;
+        expect_same_run(bare, literal, name);
+        EXPECT_EQ(literal.sim_replayed_picks, 0u) << name;
+        EXPECT_GT(sink.events, 0u) << name;
+        replayed += bare.sim_replayed_picks;
+    }
+    EXPECT_GT(replayed, 0u);
 }
 
 TEST(ProbeNeutrality, HashIsSeedDeterministicAndSeedSensitive)

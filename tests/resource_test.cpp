@@ -55,16 +55,20 @@ TEST(Resource, ZeroOccupancyPassesThrough)
     EXPECT_EQ(r.transactions(), 1u);
 }
 
-TEST(Resource, ResetStatsKeepsSchedule)
+TEST(Resource, ServeIdleRecordsWhatIdleServesRecord)
 {
-    Resource r("bus");
-    r.serve(0, 100);
-    r.reset_stats();
-    EXPECT_EQ(r.busy_time(), 0u);
-    EXPECT_EQ(r.transactions(), 0u);
-    // The reservation itself is not forgotten.
-    EXPECT_EQ(r.next_free(), 100u);
-    EXPECT_EQ(r.serve(0, 10), 110u);
+    Resource one("bus");
+    for (nucalock::sim::SimTime arrival : {100u, 200u, 300u})
+        one.serve(arrival, 10);
+    Resource bulk("bus");
+    bulk.serve_idle(3, 300, 10);
+    EXPECT_EQ(bulk.transactions(), one.transactions());
+    EXPECT_EQ(bulk.busy_time(), one.busy_time());
+    EXPECT_EQ(bulk.queue_time(), 0u);
+    EXPECT_EQ(bulk.next_free(), one.next_free());
+    EXPECT_EQ(bulk.queue_delay().bucket_count(0), 3u);
+    EXPECT_EQ(bulk.queue_delay().count(), one.queue_delay().count());
+    EXPECT_EQ(bulk.queue_delay().mean(), 0.0);
 }
 
 TEST(Resource, NamePreserved)
