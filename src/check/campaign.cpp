@@ -125,7 +125,8 @@ run_cell(const CampaignConfig& cfg, locks::LockKind kind,
         // completed fault-free-of-death run must have reclaimed or
         // rejoined every one of them. (A dead holder legitimately strands
         // the walk that would have reclaimed its successors; CLH_TRY's
-        // redirect markers are arena-allocated by design, not leaks.)
+        // last redirect markers wait for a later arrival's walk, which
+        // reclaims them, so at run end they are not leaks.)
         cell.failed = true;
         cell.what = "leaked queue nodes: " +
                     std::to_string(cell.leaked_nodes) +

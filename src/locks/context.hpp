@@ -37,14 +37,17 @@ concept LockContext = requires(Ctx ctx, typename Ctx::Ref ref, std::uint64_t v) 
 };
 
 /**
- * Machine-side requirements: word allocation (with a home-node hint), the
- * per-node is_spinning gates, topology access, and token round-tripping for
- * queue locks that store node references inside lock words.
+ * Machine-side requirements: word allocation (with a home-node hint),
+ * re-initialization of a word a lock reuses (recycle leaves it as alloc
+ * returns a new one), the per-node is_spinning gates, topology access, and
+ * token round-tripping for queue locks that store node references inside
+ * lock words.
  */
 template <typename M>
 concept LockMachine = requires(M m, std::uint64_t v, int node, std::uint32_t n) {
     { m.alloc(v, node) };
     { m.alloc_array(n, v, node) };
+    { m.recycle(M::ref_from_token(v), v, node) };
     { m.node_gate(node) };
     { m.max_threads() } -> std::convertible_to<int>;
     { m.topology() };

@@ -73,6 +73,24 @@ NativeMachine::alloc_array(std::uint32_t count, std::uint64_t init, int home_nod
 {
     NUCA_ASSERT(count > 0);
     NUCA_ASSERT(home_node >= 0 && home_node < topo_.num_nodes());
+    const std::lock_guard<std::mutex> guard(alloc_mutex_);
+    return new_chunk_locked(count, init);
+}
+
+NativeRef
+NativeMachine::node_gate(int node)
+{
+    NUCA_ASSERT(node >= 0 && node < topo_.num_nodes());
+    const std::lock_guard<std::mutex> guard(alloc_mutex_);
+    auto& gate = node_gates_[static_cast<std::size_t>(node)];
+    if (!gate.valid())
+        gate = new_chunk_locked(1, 0);
+    return gate;
+}
+
+NativeRef
+NativeMachine::new_chunk_locked(std::uint32_t count, std::uint64_t init)
+{
     // Over-allocate so the first word can be rounded up to a line boundary.
     const std::uint32_t total = count * kWordsPerLine + kWordsPerLine;
     Chunk chunk(new std::atomic<std::uint64_t>[total]);
@@ -82,32 +100,8 @@ NativeMachine::alloc_array(std::uint32_t count, std::uint64_t init, int home_nod
     auto* first = reinterpret_cast<std::atomic<std::uint64_t>*>(aligned);
     for (std::uint32_t i = 0; i < count; ++i)
         first[i * kWordsPerLine].store(init, std::memory_order_relaxed);
-
-    std::lock_guard<std::mutex> guard(alloc_mutex_);
     chunks_.push_back(std::move(chunk));
     return NativeRef{first};
-}
-
-NativeRef
-NativeMachine::node_gate(int node)
-{
-    NUCA_ASSERT(node >= 0 && node < topo_.num_nodes());
-    std::lock_guard<std::mutex> guard(alloc_mutex_);
-    auto& gate = node_gates_[static_cast<std::size_t>(node)];
-    if (!gate.valid()) {
-        // Cannot call alloc() under the lock; inline a single-word chunk.
-        const std::uint32_t total = 2 * kWordsPerLine;
-        Chunk chunk(new std::atomic<std::uint64_t>[total]);
-        auto addr = reinterpret_cast<std::uintptr_t>(chunk.get());
-        const std::uintptr_t aligned =
-            (addr + kCacheLineBytes - 1) &
-            ~static_cast<std::uintptr_t>(kCacheLineBytes - 1);
-        auto* first = reinterpret_cast<std::atomic<std::uint64_t>*>(aligned);
-        first->store(0, std::memory_order_relaxed);
-        chunks_.push_back(std::move(chunk));
-        gate = NativeRef{first};
-    }
-    return gate;
 }
 
 NativeContext

@@ -219,6 +219,18 @@ class NativeMachine
     NativeRef alloc_array(std::uint32_t count, std::uint64_t init,
                           int home_node = 0);
 
+    /**
+     * Re-initialize a word a lock reuses to @p init, as alloc() would
+     * return it. A relaxed store: the caller read the word's last value
+     * with acquire (or took it through a mutex), and the release that
+     * publishes the word again orders this store.
+     */
+    void
+    recycle(NativeRef ref, std::uint64_t init, int /*home_node*/)
+    {
+        ref.word->store(init, std::memory_order_relaxed);
+    }
+
     /** The per-node is_spinning gate word (see HBO_GT). */
     NativeRef node_gate(int node);
 
@@ -239,7 +251,7 @@ class NativeMachine
 
     /**
      * Make a context for an externally managed thread occupying dense cpu
-     * @p cpu (used by examples and the google-benchmark integration).
+     * @p cpu (used by examples, tests and single-threaded probes).
      */
     NativeContext make_context(int tid, int cpu);
 
@@ -261,12 +273,26 @@ class NativeMachine
     void install_phase_hooks(PhaseHooks* hooks) { phase_hooks_ = hooks; }
     PhaseHooks* phase_hooks() const { return phase_hooks_; }
 
+    /** Chunks allocated so far: one per alloc() and alloc_array() call,
+     *  and one per node gate first asked for. Nothing is freed before
+     *  the machine, so this is the machine's memory in chunks. */
+    std::size_t
+    num_chunks() const
+    {
+        const std::lock_guard<std::mutex> guard(alloc_mutex_);
+        return chunks_.size();
+    }
+
   private:
     using Chunk = std::unique_ptr<std::atomic<std::uint64_t>[]>;
 
+    /** Allocate a chunk of @p count line-aligned words set to @p init;
+     *  the caller holds alloc_mutex_. */
+    NativeRef new_chunk_locked(std::uint32_t count, std::uint64_t init);
+
     Topology topo_;
     NativeConfig cfg_;
-    std::mutex alloc_mutex_;
+    mutable std::mutex alloc_mutex_;
     std::vector<Chunk> chunks_;
     std::vector<NativeRef> node_gates_;
     obs::ProbeSink* probe_ = nullptr;      // non-owning

@@ -230,6 +230,17 @@ class SimMachine
     MemRef alloc_array(std::uint32_t count, std::uint64_t init, int home_node = 0);
 
     /**
+     * Re-initialize a word a lock reuses: SimMemory::recycle, which
+     * leaves the line as alloc(@p init, @p home_node) would return a new
+     * one, with no simulated access.
+     */
+    void
+    recycle(MemRef ref, std::uint64_t init, int home_node)
+    {
+        memory_.recycle(ref, init, home_node);
+    }
+
+    /**
      * The per-node `is_spinning` gate word of the HBO_GT/SD algorithms
      * (one word per node, homed in that node, initially kGateDummy).
      */

@@ -29,11 +29,13 @@
 #ifndef NUCALOCK_SIM_MEMORY_HPP
 #define NUCALOCK_SIM_MEMORY_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "sim/arena.hpp"
 #include "sim/flat_table.hpp"
 #include "sim/latency.hpp"
@@ -104,6 +106,28 @@ class SimMemory
 
     /** Allocate @p count contiguous words; returns the first. */
     MemRef alloc_array(std::uint32_t count, std::uint64_t init, int home_node);
+
+    /**
+     * Reset line @p ref to exactly what alloc(@p init, @p home_node)
+     * returns: the value, no owner, no sharers, the new home node. No
+     * access is simulated. Asserts that no thread watches the line and
+     * that it is not a node gate, so reusing a line some thread may still
+     * read aborts the run.
+     */
+    void
+    recycle(MemRef ref, std::uint64_t init, int home_node)
+    {
+        Line& line = line_of(ref);
+        NUCA_ASSERT(line.watcher_head == -1, "recycling line ", ref.line,
+                    " while thread ", line.watcher_head, " watches it");
+        NUCA_ASSERT(!line.is_gate, "recycling node gate line ", ref.line);
+        NUCA_ASSERT(home_node >= 0 && home_node < topo_.num_nodes(),
+                    "home_node=", home_node);
+        line = Line{};
+        line.value = init;
+        line.home_node = static_cast<std::int16_t>(home_node);
+        std::fill_n(sharers_of(ref.line), words_per_line_, std::uint64_t{0});
+    }
 
     /**
      * Perform @p op by @p cpu starting at @p now.

@@ -1,18 +1,79 @@
 /**
  * @file
  * Tests for the CLH_TRY timeout queue lock: timeout semantics, queue
- * integrity across abandonments, and FIFO behaviour without timeouts.
+ * integrity across abandonments, FIFO behaviour without timeouts, and the
+ * bound on the nodes a timeout storm allocates.
  */
 #include <gtest/gtest.h>
 
 #include "locks/clh_try.hpp"
 #include "sim/engine.hpp"
+#include "unwalked_peak.hpp"
 
 namespace {
 
 using namespace nucalock;
 using namespace nucalock::locks;
 using namespace nucalock::sim;
+using nucalock::testing_support::UnwalkedPeak;
+
+constexpr int kStormThreads = 8;
+
+struct StormResult
+{
+    std::uint64_t acquisitions = 0;
+    std::uint64_t timeouts = 0;
+    std::uint64_t order_hash = 0xcbf29ce484222325ULL; // FNV-1a over tids
+    AbandonStats stats;
+    SimTime end = 0;
+    TrafficStats traffic;
+    std::uint32_t lines_grown = 0; ///< lines the acquisitions allocated
+    std::uint64_t unwalked_peak = 0;
+};
+
+/**
+ * A timeout storm on 2x4 cpus: thread 0 always acquires and holds for
+ * 3 us; threads 1-7 acquire on every third iteration and otherwise try
+ * for 300 + 50 t ns, hold for 400 ns, and wait 200 ns after a timeout and
+ * 100 ns after a release.
+ */
+StormResult
+run_timeout_storm(int iterations)
+{
+    SimMachine m(Topology::symmetric(2, 4));
+    ClhTryLock<SimContext> lock(m);
+    UnwalkedPeak unwalked;
+    m.install_probe(&unwalked);
+    const std::uint32_t lines_before = m.memory().num_lines();
+    StormResult r;
+    for (int t = 0; t < kStormThreads; ++t) {
+        m.add_thread(t, [&, t](SimContext& ctx) {
+            for (int i = 0; i < iterations; ++i) {
+                if (t == 0 || (i + t) % 3 == 0) {
+                    lock.acquire(ctx);
+                } else if (!lock.try_acquire_for(
+                               ctx, 300 + 50 * static_cast<SimTime>(t))) {
+                    ++r.timeouts;
+                    ctx.delay_ns(200);
+                    continue;
+                }
+                ++r.acquisitions;
+                r.order_hash ^= static_cast<std::uint64_t>(t);
+                r.order_hash *= std::uint64_t{0x100000001b3};
+                ctx.delay_ns(t == 0 ? 3'000 : 400);
+                lock.release(ctx);
+                ctx.delay_ns(100);
+            }
+        });
+    }
+    m.run();
+    r.stats = lock.abandon_stats();
+    r.end = m.now();
+    r.traffic = m.traffic();
+    r.lines_grown = m.memory().num_lines() - lines_before;
+    r.unwalked_peak = unwalked.peak();
+    return r;
+}
 
 TEST(ClhTry, TimesOutWhileHeldThenSucceeds)
 {
@@ -149,6 +210,35 @@ TEST(ClhTry, FifoWithoutTimeouts)
     }
     m.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ClhTry, TimeoutStormRunIsPinned)
+{
+    // Reusing nodes changes no simulated access: this is the run a fresh
+    // node per acquisition gives.
+    const StormResult r = run_timeout_storm(500);
+    EXPECT_EQ(r.acquisitions, 1'666u);
+    EXPECT_EQ(r.timeouts, 2'334u);
+    EXPECT_EQ(r.stats.abandons, 2'334u);
+    EXPECT_EQ(r.stats.parked, 2'334u);
+    EXPECT_EQ(r.stats.reclaims, 2'334u);
+    EXPECT_EQ(r.end, 7'912'241u);
+    EXPECT_EQ(r.traffic.local_tx, 14'419u);
+    EXPECT_EQ(r.traffic.global_tx, 8'852u);
+    EXPECT_EQ(r.order_hash, 0x88fdb52beaf50e01u);
+}
+
+TEST(ClhTry, TimeoutStormNodeLinesAreBounded)
+{
+    const StormResult short_run = run_timeout_storm(500);
+    const StormResult long_run = run_timeout_storm(2'000);
+    // The node count stops growing with the run's length...
+    EXPECT_EQ(long_run.lines_grown, short_run.lines_grown);
+    // ...and stays within the bound ClhTryLock documents.
+    for (const StormResult* r : {&short_run, &long_run})
+        EXPECT_LE(r->lines_grown, ClhTryLock<SimContext>::max_acquire_nodes(
+                                      kStormThreads, r->unwalked_peak))
+            << "unwalked peak " << r->unwalked_peak;
 }
 
 TEST(ClhTry, ZeroTimeoutIsAPoliteTrylock)

@@ -14,6 +14,8 @@
 #include "locks/any_lock.hpp"
 #include "locks/guard.hpp"
 #include "native/machine.hpp"
+#include "obs/probe.hpp"
+#include "unwalked_peak.hpp"
 
 namespace {
 
@@ -156,52 +158,72 @@ TEST_P(NativeLockTest, AbandonSoakLeavesNoLinkedNodes)
     NativeMachine machine(Topology::symmetric(2, 2));
     AnyLock<NativeContext> lock(machine, GetParam());
     const NativeRef counter = machine.alloc(0);
+    const std::size_t chunks_built = machine.num_chunks();
+    // CLH_TRY's node bound counts the redirects outstanding at once.
+    const bool clh_try = GetParam() == LockKind::ClhTry;
+    testing_support::UnwalkedPeak unwalked;
+    obs::ThreadSafeSink sink(unwalked);
+    if (clh_try)
+        machine.install_probe(&sink);
     std::atomic<std::uint64_t> successes{0};
     constexpr int kThreads = 4;
-    constexpr int kIters = 300;
     // Holds are longer than the timeout, so contenders expire constantly.
     constexpr std::uint64_t kTimeoutNs = 20'000;
     constexpr std::uint64_t kHoldNs = 40'000;
 
-    machine.run_threads(
-        kThreads, Placement::RoundRobinNodes,
-        [&](NativeContext& ctx, int t) {
-            for (int i = 0; i < kIters; ++i) {
-                // Alternate timed and plain acquisitions so abandoned
-                // nodes always meet live traffic that can recover them.
-                if ((i + t) % 2 == 0) {
-                    if (!lock.acquire_for(ctx, kTimeoutNs))
-                        continue;
-                } else {
-                    lock.acquire(ctx);
+    // Two storms of different lengths on the same lock: what either leaves
+    // behind must not depend on how long the lock has been in use.
+    for (const int iters : {100, 400}) {
+        machine.run_threads(
+            kThreads, Placement::RoundRobinNodes,
+            [&](NativeContext& ctx, int t) {
+                for (int i = 0; i < iters; ++i) {
+                    // Alternate timed and plain acquisitions so abandoned
+                    // nodes always meet live traffic that can recover them.
+                    if ((i + t) % 2 == 0) {
+                        if (!lock.acquire_for(ctx, kTimeoutNs))
+                            continue;
+                    } else {
+                        lock.acquire(ctx);
+                    }
+                    const std::uint64_t v = ctx.load(counter);
+                    ctx.delay_ns(kHoldNs);
+                    ctx.store(counter, v + 1);
+                    lock.release(ctx);
+                    successes.fetch_add(1, std::memory_order_relaxed);
                 }
-                const std::uint64_t v = ctx.load(counter);
-                ctx.delay_ns(kHoldNs);
-                ctx.store(counter, v + 1);
-                lock.release(ctx);
-                successes.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
+            });
 
-    // Drain: quiescent acquire/release cycles walk any markers parked by
-    // threads whose final act was an abandonment.
-    NativeContext ctx = machine.make_context(0, 0);
-    for (int i = 0; i < 4; ++i) {
-        lock.acquire(ctx);
-        lock.release(ctx);
+        // Drain: quiescent acquire/release cycles walk any markers parked
+        // by threads whose final act was an abandonment.
+        NativeContext ctx = machine.make_context(0, 0);
+        for (int i = 0; i < 4; ++i) {
+            lock.acquire(ctx);
+            lock.release(ctx);
+        }
+
+        // Mutual exclusion held throughout the storm...
+        EXPECT_EQ(ctx.load(counter), successes.load()) << iters;
+        const AbandonStats stats = lock.abandon_stats();
+        // ...and at quiescence nothing abandoned is still linked: every
+        // parked node was reclaimed, rejoined, or unparked (a leak here
+        // would grow the queue without bound under repeated timeout
+        // storms).
+        EXPECT_EQ(stats.linked_abandoned(), 0u)
+            << "parked=" << stats.parked << " reclaims=" << stats.reclaims
+            << " rejoins=" << stats.rejoins << " unparks=" << stats.unparks;
+        // CLH_TRY reuses its nodes: the machine holds no more than the
+        // bound ClhTryLock documents, however long the storms ran.
+        if (clh_try) {
+            EXPECT_LE(machine.num_chunks() - chunks_built,
+                      ClhTryLock<NativeContext>::max_acquire_nodes(
+                          kThreads, unwalked.peak()))
+                << "after " << iters << " iterations, unwalked peak "
+                << unwalked.peak();
+        }
     }
-
-    // Mutual exclusion held throughout the storm...
-    EXPECT_EQ(ctx.load(counter), successes.load());
-    const AbandonStats stats = lock.abandon_stats();
-    // ...the soak actually exercised the abandonment path...
-    EXPECT_GE(stats.abandons, 1u);
-    // ...and at quiescence nothing abandoned is still linked: every parked
-    // node was reclaimed, rejoined, or unparked (a leak here would grow
-    // the queue without bound under repeated timeout storms).
-    EXPECT_EQ(stats.linked_abandoned(), 0u)
-        << "parked=" << stats.parked << " reclaims=" << stats.reclaims
-        << " rejoins=" << stats.rejoins << " unparks=" << stats.unparks;
+    // The soak actually exercised the abandonment path.
+    EXPECT_GE(lock.abandon_stats().abandons, 1u);
 }
 
 TEST_P(NativeLockTest, AcquireForSucceedsUncontended)

@@ -326,6 +326,30 @@ TEST_F(MemoryTest, FailedCasWakesWatchersToo)
     EXPECT_TRUE(out.wakes_watchers);
 }
 
+TEST_F(MemoryTest, RecycleResetsALineToItsAllocState)
+{
+    const MemRef ref = mem_.alloc(1, 0);
+    mem_.access(MemOp::Load, 5, 0, ref);
+    mem_.access(MemOp::Store, 0, 1'000, ref, 9);
+    mem_.access(MemOp::Load, 6, 2'000, ref);
+    mem_.recycle(ref, 2, 1);
+    EXPECT_EQ(mem_.peek(ref), 2u);
+    EXPECT_EQ(mem_.home_node(ref), 1);
+    EXPECT_EQ(mem_.owner_cpu(ref), -1);
+    for (int cpu = 0; cpu < topo_.num_cpus(); ++cpu)
+        EXPECT_FALSE(mem_.caches(ref, cpu)) << "cpu " << cpu;
+}
+
+TEST_F(MemoryTest, RecyclingAWatchedLineAborts)
+{
+    const MemRef ref = mem_.alloc(0, 0);
+    EXPECT_TRUE(mem_.watch(ref, 3, 0));
+    EXPECT_DEATH(mem_.recycle(ref, 0, 0), "while thread 3 watches it");
+    const MemRef gate = mem_.alloc(0, 1);
+    mem_.mark_node_gate(gate);
+    EXPECT_DEATH(mem_.recycle(gate, 0, 1), "recycling node gate");
+}
+
 TEST_F(MemoryTest, DoubleWatchIsRejected)
 {
     const MemRef ref = mem_.alloc(0, 0);
