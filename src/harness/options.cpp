@@ -198,7 +198,7 @@ prof_usage()
            "line per hardware event (available / multiplexed / denied with\n"
            "the perf_event_paranoid level / unsupported). Exit 0 when at\n"
            "least one event counts, 1 when none do. --diff strips the\n"
-           "nondeterministic host and native_traffic objects before\n"
+           "members the report schema marks host-dependent before\n"
            "comparing.\n";
 }
 

@@ -68,9 +68,9 @@ struct CliOptions
      *  (nucacheck --campaign output) and exit; no benchmark runs. */
     std::string robustness;
     /** nucaprof only: "A,B" — diff two report files over their
-     *  deterministic fields (the nondeterministic "host" and
-     *  "native_traffic" objects are stripped) and exit; no benchmark
-     *  runs. */
+     *  deterministic fields (obs::strip_nondeterministic first erases the
+     *  members the report schema marks host-dependent) and exit; no
+     *  benchmark runs. */
     std::string diff;
     /** nucaprof only: probe hardware-counter availability (one line per
      *  perf event: available / multiplexed / denied / unsupported) and

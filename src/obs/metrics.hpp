@@ -13,6 +13,7 @@
 #ifndef NUCALOCK_OBS_METRICS_HPP
 #define NUCALOCK_OBS_METRICS_HPP
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -24,6 +25,17 @@
 #include "stats/summary.hpp"
 
 namespace nucalock::obs {
+
+/** ADAPTIVE's gear names, indexed like LockMetrics::gear_residency_ns:
+ *  the strings of locks::adapt_gear_name(), which obs cannot call (locks
+ *  depends on obs). adaptive_test pins the match. */
+inline constexpr std::array<const char*, 3> kAdaptGearNames = {
+    "tatas", "hbo", "queue"};
+
+/** ADAPTIVE's switch reasons, indexed like LockMetrics::adapt_reasons:
+ *  the strings of locks::adapt_reason_name(), pinned the same way. */
+inline constexpr std::array<const char*, 5> kAdaptReasonNames = {
+    "contention", "nuca_traffic", "quiet", "timeout_storm", "recovery"};
 
 /** Counters for one BackoffClass within one lock. */
 struct BackoffMetrics
@@ -74,7 +86,7 @@ struct LockMetrics
     stats::Summary node_batch_lengths;
 
     /** Indexed by BackoffClass (generic, local, remote). */
-    BackoffMetrics backoff[3];
+    BackoffMetrics backoff[kNumBackoffClasses];
 
     std::uint64_t gate_blocked = 0;
     std::uint64_t gate_passed = 0;
@@ -105,10 +117,10 @@ struct LockMetrics
     bool adapt_seen = false;
     /** Gear switches, total and by AdaptReason (adaptive_policy.hpp). */
     std::uint64_t adapt_switches = 0;
-    std::uint64_t adapt_reasons[5] = {0, 0, 0, 0, 0};
+    std::uint64_t adapt_reasons[kAdaptReasonNames.size()] = {};
     /** Event-time residency per gear (tatas, hbo, queue), measured from
      *  the lock's first event to its last. */
-    std::uint64_t gear_residency_ns[3] = {0, 0, 0};
+    std::uint64_t gear_residency_ns[kAdaptGearNames.size()] = {};
     /** First storm abandonment -> the TimeoutStorm demotion that answered
      *  it: how long degradation took to engage. */
     stats::LogHistogram demote_latency_ns;

@@ -101,6 +101,8 @@ enum class BackoffClass : std::uint8_t
     Remote = 2,  ///< holder in a remote node: throttled constants
 };
 
+inline constexpr int kNumBackoffClasses = 3;
+
 inline const char*
 backoff_class_name(BackoffClass cls)
 {

@@ -1,5 +1,7 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 
@@ -194,7 +196,7 @@ write_lock_metrics(JsonWriter& w, const LockMetrics& lm)
     write_histogram(w, lm.hold_ns);
     w.key("backoff");
     w.begin_object();
-    for (int cls = 0; cls < 3; ++cls) {
+    for (int cls = 0; cls < kNumBackoffClasses; ++cls) {
         w.key(backoff_class_name(static_cast<BackoffClass>(cls)));
         w.begin_object();
         w.kv("episodes", lm.backoff[cls].episodes);
@@ -265,28 +267,22 @@ write_metrics(JsonWriter& w, const MetricsRegistry& registry)
 
 /**
  * The v4 optional per-run "adaptive" object: ADAPTIVE's gear telemetry,
- * folded from the primary lock's AdaptSwitch events. Gear and reason names
- * mirror locks::adapt_gear_name / adapt_reason_name (spelled out here —
- * obs cannot depend on the locks library without a cycle).
+ * folded from the primary lock's AdaptSwitch events.
  */
 void
 write_adaptive(JsonWriter& w, const LockMetrics& lm)
 {
-    static constexpr const char* kGears[3] = {"tatas", "hbo", "queue"};
-    static constexpr const char* kReasons[5] = {"contention", "nuca_traffic",
-                                                "quiet", "timeout_storm",
-                                                "recovery"};
     w.begin_object();
     w.kv("switches", lm.adapt_switches);
     w.key("reasons");
     w.begin_object();
-    for (std::size_t i = 0; i < 5; ++i)
-        w.kv(kReasons[i], lm.adapt_reasons[i]);
+    for (std::size_t i = 0; i < kAdaptReasonNames.size(); ++i)
+        w.kv(kAdaptReasonNames[i], lm.adapt_reasons[i]);
     w.end_object();
     w.key("gear_residency_ns");
     w.begin_object();
-    for (std::size_t i = 0; i < 3; ++i)
-        w.kv(kGears[i], lm.gear_residency_ns[i]);
+    for (std::size_t i = 0; i < kAdaptGearNames.size(); ++i)
+        w.kv(kAdaptGearNames[i], lm.gear_residency_ns[i]);
     w.end_object();
     w.key("demote_latency_ns");
     write_histogram(w, lm.demote_latency_ns);
@@ -572,10 +568,310 @@ write_report(std::ostream& os, const ReportConfig& config,
 }
 
 // ---------------------------------------------------------------------------
-// Validation
+// The schema table: the one statement of the report's shape besides the
+// writer above. The validator, --diff's stripping and the field reference
+// in docs/observability.md all read it.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/** What a member's value must be. */
+enum class Kind : std::uint8_t
+{
+    Number,
+    String,
+    Bool,
+    NumberOrNull,
+    Object,
+    ObjectOrNull,
+    Objects, ///< array of objects
+    Numbers, ///< array of numbers
+    Strings, ///< array of strings
+};
+
+/**
+ * One member of the report: its name, what its value must be and, for
+ * objects and arrays of objects, their members. A bare name converts to a
+ * required number, the commonest member.
+ */
+struct Field
+{
+    Field(const char* field_name, Kind field_kind = Kind::Number,
+          std::vector<Field> field_members = {})
+        : name(field_name), kind(field_kind), members(std::move(field_members))
+    {
+    }
+
+    std::string name;
+    Kind kind;
+    std::vector<Field> members;
+    /** Schema version that added the member to its object; 1 when it
+     *  came with the object. */
+    int since = 1;
+    /** The writer leaves the member out of some reports. */
+    bool optional = false;
+    /** The value measures the host, not the simulated run, so it differs
+     *  between repetitions; --diff strips it. */
+    bool host_dependent = false;
+};
+
+Field
+text(const char* name)
+{
+    return {name, Kind::String};
+}
+
+Field
+flag(const char* name)
+{
+    return {name, Kind::Bool};
+}
+
+Field
+object(const char* name, std::vector<Field> members)
+{
+    return {name, Kind::Object, std::move(members)};
+}
+
+Field
+objects(const char* name, std::vector<Field> members)
+{
+    return {name, Kind::Objects, std::move(members)};
+}
+
+Field
+added(int version, Field field)
+{
+    field.since = version;
+    return field;
+}
+
+Field
+optional(Field field)
+{
+    field.optional = true;
+    return field;
+}
+
+Field
+host_dependent(Field field)
+{
+    field.host_dependent = true;
+    return field;
+}
+
+Field
+histogram(const char* name)
+{
+    return object(name, {"count", "mean", "p50", "p90", "p99", "max"});
+}
+
+Field
+summary(const char* name)
+{
+    return object(name, {"count", "mean", "min", "max", "stddev"});
+}
+
+Field
+tx_count(const char* name)
+{
+    return object(name, {"local_tx", "global_tx"});
+}
+
+/** Numeric members named by @p names. */
+template <std::size_t N>
+std::vector<Field>
+numbers(const std::array<const char*, N>& names)
+{
+    return std::vector<Field>(names.begin(), names.end());
+}
+
+/** One member per value of an enum, named by @p name_of, shaped by
+ *  @p shape. */
+template <typename Enum, typename Shape>
+std::vector<Field>
+per_value(int count, const char* (*name_of)(Enum), Shape shape)
+{
+    std::vector<Field> members;
+    for (int i = 0; i < count; ++i)
+        members.push_back(shape(name_of(static_cast<Enum>(i))));
+    return members;
+}
+
+Field
+backoff_class(const char* name)
+{
+    return object(name, {"episodes", "total_ns"});
+}
+
+/** One phase's hardware-counter deltas. */
+Field
+counter_cell(const char* phase)
+{
+    return object(phase, per_value(kNumCounterEvents, counter_event_name,
+                                   [](const char* event) {
+                                       return Field(event);
+                                   }));
+}
+
+const Field&
+report_schema()
+{
+    static const Field schema = object("report", {
+        text("schema"),
+        "schema_version",
+        text("tool"),
+        object("config", {text("bench"), "nodes", "cpus_per_node", "threads",
+                          "critical_work", "private_work", "iterations",
+                          "nuca_ratio", "seed"}),
+        objects("runs", {
+            text("lock"),
+            object("result", {
+                "total_time_ns", "total_acquires", "avg_iteration_ns",
+                "node_handoff_ratio", "fairness_spread_pct",
+                text("acquisition_order_hash"), "sim_memory_accesses",
+                "sim_fiber_switches",
+                object("traffic", {"local_tx", "global_tx", "data_fetch_tx",
+                                   "invalidation_tx", "atomic_tx"}),
+                "faults_injected", "mutex_violations", "lock_timeouts",
+                added(2, "memtrace_events"), added(2, "memtrace_dropped"),
+            }),
+            added(2, object("traffic", {
+                "local_tx_per_acquisition", "global_tx_per_acquisition",
+                objects("per_lock", {
+                    text("lock_id"), "acquisitions", "local_tx", "global_tx",
+                    "local_tx_per_acquisition", "global_tx_per_acquisition",
+                    object("phases", per_value(sim::kNumTxPhases,
+                                               sim::tx_phase_name, tx_count)),
+                }),
+                objects("per_node", {"node", "local_tx", "global_tx"}),
+                tx_count("attributed"),
+                tx_count("unattributed"),
+            })),
+            added(2, object("contention", {
+                "sim_time_ns", "series_bin_ns",
+                objects("resources", {
+                    text("name"), "node", "transactions", "busy_ns",
+                    "queue_ns", "utilization", histogram("queue_delay_ns"),
+                    optional({"busy_ns_bins", Kind::Numbers}),
+                    optional({"tx_bins", Kind::Numbers}),
+                }),
+            })),
+            {"metrics", Kind::ObjectOrNull, {
+                "events_seen",
+                text("primary_lock_id"),
+                objects("locks", {
+                    text("lock_id"), "attempts", "try_attempts",
+                    "acquisitions", "releases", "handovers_local",
+                    "handovers_remote", "repeats", "local_handover_fraction",
+                    "remote_handover_fraction", summary("node_batch_lengths"),
+                    histogram("wait_ns"), histogram("hold_ns"),
+                    object("backoff",
+                           per_value(kNumBackoffClasses, backoff_class_name,
+                                     backoff_class)),
+                    object("gate", {"blocked", "passed", "publishes", "opens",
+                                    "block_fraction"}),
+                    "angry_transitions", "gates_closed_in_anger",
+                    objects("per_node", {"node", "acquisitions",
+                                         "handovers_in",
+                                         summary("batch_lengths"),
+                                         "gate_blocked", "gate_passed"}),
+                }),
+                objects("per_cpu", {"cpu", "acquisitions", "backoff_episodes",
+                                    "backoff_ns", "cs_ns",
+                                    histogram("wait_ns")}),
+            }},
+            host_dependent(optional(object(
+                "host",
+                {"wall_ns", "events_per_sec", "switches_per_sec", "jobs"}))),
+            optional(added(4, object("adaptive", {
+                "switches",
+                object("reasons", numbers(kAdaptReasonNames)),
+                object("gear_residency_ns", numbers(kAdaptGearNames)),
+                histogram("demote_latency_ns"),
+            }))),
+            optional(added(5, object("structs", {
+                "stripes", "reads", "writes", "scans", "inserts", "hits",
+                "misses", "local_handover_fraction",
+                object("resize", {"epochs", "migrated_keys", "stalls",
+                                  histogram("stall_ns")}),
+                object("op_latency_ns", {histogram("read"),
+                                         histogram("write"),
+                                         histogram("scan")}),
+                objects("per_stripe", {"stripe", text("lock_id"),
+                                       "acquisitions", "handovers_local",
+                                       "handovers_remote",
+                                       "local_handover_fraction",
+                                       "migrations"}),
+            }))),
+            host_dependent(optional(added(6, object("native_traffic", {
+                flag("available"),
+                text("source"),
+                {"perf_event_paranoid", Kind::NumberOrNull},
+                // Required when "available" is false: validate_report
+                // checks that one conditional rule itself.
+                optional(text("unavailable_reason")),
+                "samples", "threads", "time_enabled_ns", "time_running_ns",
+                flag("multiplexed"),
+                "local_tx_per_acquisition", "global_tx_per_acquisition",
+                objects("events", {text("event"), text("status"),
+                                   optional(text("detail"))}),
+                objects("per_lock", {
+                    text("lock_id"),
+                    object("phases", per_value(sim::kNumTxPhases,
+                                               sim::tx_phase_name,
+                                               counter_cell)),
+                }),
+            })))),
+        }),
+        optional(added(3, object("robustness", {
+            object("campaign", {{"presets", Kind::Strings}, "timeout_ns",
+                                "iterations", "first_seed", "num_seeds"}),
+            objects("cells", {
+                text("lock"), text("preset"), "nodes", "cpus_per_node",
+                "seed", text("verdict"), optional(text("what")),
+                text("stop"), "steps", "acquisitions", "timeouts",
+                "mutex_violations", "faults_injected", "max_overshoot_ns",
+                "overshoot_bound_ns", "abandons", "parked", "grant_races",
+                "reclaims", "rejoins", "unparks", "leaked_nodes",
+                optional(text("trace")), optional(text("minimal_trace")),
+            }),
+            objects("per_lock", {
+                text("lock"), "cells", "failures", "acquisitions",
+                "timeouts", "abandons", "parked", "grant_races", "reclaims",
+                "rejoins", "unparks", "leaked_nodes", "max_overshoot_ns",
+            }),
+            "failures",
+            text("verdict"),
+        }))),
+    });
+    return schema;
+}
+
+// ------------------------------------------------------------- walker ---
+
+/** One step of the path from the report root to the value being checked:
+ *  a member name, or an array index when @c name is null. The path is
+ *  rendered only when a check fails. */
+struct Where
+{
+    const Where* parent;
+    const std::string* name;
+    std::size_t index;
+};
+
+std::string
+path_of(const Where* at)
+{
+    if (at == nullptr)
+        return "report";
+    std::string path = path_of(at->parent);
+    if (at->name != nullptr)
+        path += "." + *at->name;
+    else
+        path += "[" + std::to_string(at->index) + "]";
+    return path;
+}
 
 bool
 fail(std::string* error, const std::string& message)
@@ -585,419 +881,163 @@ fail(std::string* error, const std::string& message)
     return false;
 }
 
-bool
-require_number(const JsonValue& parent, const char* name, std::string* error,
-               const std::string& where)
+const char*
+kind_noun(Kind kind)
 {
-    const JsonValue* v = parent.find(name);
-    if (v == nullptr)
-        return fail(error, where + ": missing field '" + name + "'");
-    if (!v->is_number())
-        return fail(error, where + ": field '" + name + "' must be a number");
-    return true;
+    switch (kind) {
+      case Kind::Number: return "a number";
+      case Kind::String: return "a string";
+      case Kind::Bool: return "a boolean";
+      case Kind::NumberOrNull: return "a number or null";
+      case Kind::Object: return "an object";
+      case Kind::ObjectOrNull: return "an object or null";
+      case Kind::Objects:
+      case Kind::Numbers:
+      case Kind::Strings: return "an array";
+    }
+    return "?";
 }
 
-bool
-require_string(const JsonValue& parent, const char* name, std::string* error,
-               const std::string& where)
-{
-    const JsonValue* v = parent.find(name);
-    if (v == nullptr)
-        return fail(error, where + ": missing field '" + name + "'");
-    if (!v->is_string())
-        return fail(error, where + ": field '" + name + "' must be a string");
-    return true;
-}
+bool check_members(const JsonValue& object, const std::vector<Field>& fields,
+                   const Where* at, std::string* error);
 
+/** Check that @p value is of @p kind; an object also against
+ *  @p members. */
 bool
-validate_histogram(const JsonValue& h, std::string* error,
-                   const std::string& where)
+check_value(const JsonValue& value, Kind kind,
+            const std::vector<Field>& members, const Where* at,
+            std::string* error)
 {
-    if (!h.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"count", "mean", "p50", "p90", "p99", "max"})
-        if (!require_number(h, field, error, where))
-            return false;
-    return true;
-}
-
-bool
-validate_summary(const JsonValue& s, std::string* error,
-                 const std::string& where)
-{
-    if (!s.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"count", "mean", "min", "max", "stddev"})
-        if (!require_number(s, field, error, where))
-            return false;
-    return true;
-}
-
-bool
-validate_result(const JsonValue& r, std::string* error,
-                const std::string& where)
-{
-    if (!r.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field :
-         {"total_time_ns", "total_acquires", "avg_iteration_ns",
-          "node_handoff_ratio", "fairness_spread_pct", "sim_memory_accesses",
-          "sim_fiber_switches", "memtrace_events", "memtrace_dropped"})
-        if (!require_number(r, field, error, where))
-            return false;
-    if (!require_string(r, "acquisition_order_hash", error, where))
-        return false;
-    const JsonValue* traffic = r.find("traffic");
-    if (traffic == nullptr || !traffic->is_object())
-        return fail(error, where + ": 'traffic' must be an object");
-    for (const char* field : {"local_tx", "global_tx", "data_fetch_tx",
-                              "invalidation_tx", "atomic_tx"})
-        if (!require_number(*traffic, field, error, where + ".traffic"))
-            return false;
-    return true;
-}
-
-bool
-validate_tx_count(const JsonValue& c, std::string* error,
-                  const std::string& where)
-{
-    if (!c.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"local_tx", "global_tx"})
-        if (!require_number(c, field, error, where))
-            return false;
-    return true;
-}
-
-bool
-validate_run_traffic(const JsonValue& t, std::string* error,
-                     const std::string& where)
-{
-    if (!t.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field :
-         {"local_tx_per_acquisition", "global_tx_per_acquisition"})
-        if (!require_number(t, field, error, where))
-            return false;
-    const JsonValue* per_lock = t.find("per_lock");
-    if (per_lock == nullptr || !per_lock->is_array())
-        return fail(error, where + ": 'per_lock' must be an array");
-    for (std::size_t i = 0; i < per_lock->array.size(); ++i) {
-        const std::string lw = where + ".per_lock[" + std::to_string(i) + "]";
-        const JsonValue& lock = per_lock->array[i];
-        if (!lock.is_object())
-            return fail(error, lw + " must be an object");
-        if (!require_string(lock, "lock_id", error, lw))
-            return false;
-        for (const char* field :
-             {"acquisitions", "local_tx", "global_tx",
-              "local_tx_per_acquisition", "global_tx_per_acquisition"})
-            if (!require_number(lock, field, error, lw))
-                return false;
-        const JsonValue* phases = lock.find("phases");
-        if (phases == nullptr || !phases->is_object())
-            return fail(error, lw + ": 'phases' must be an object");
-        for (const char* phase : {"none", "acquire_spin", "handover",
-                                  "critical", "release", "gate_publish"}) {
-            const JsonValue* p = phases->find(phase);
-            if (p == nullptr ||
-                !validate_tx_count(*p, error,
-                                   lw + ".phases." + phase))
+    bool ok = false;
+    switch (kind) {
+      case Kind::Number: ok = value.is_number(); break;
+      case Kind::String: ok = value.is_string(); break;
+      case Kind::Bool: ok = value.type == JsonValue::Type::Bool; break;
+      case Kind::NumberOrNull:
+        ok = value.is_number() || value.type == JsonValue::Type::Null;
+        break;
+      case Kind::ObjectOrNull:
+        if (value.type == JsonValue::Type::Null)
+            return true;
+        [[fallthrough]];
+      case Kind::Object:
+        if (value.is_object())
+            return check_members(value, members, at, error);
+        break;
+      case Kind::Objects:
+      case Kind::Numbers:
+      case Kind::Strings: {
+        if (!value.is_array())
+            break;
+        const Kind element = kind == Kind::Objects   ? Kind::Object
+                             : kind == Kind::Numbers ? Kind::Number
+                                                     : Kind::String;
+        for (std::size_t i = 0; i < value.array.size(); ++i) {
+            const Where here{at, nullptr, i};
+            if (!check_value(value.array[i], element, members, &here, error))
                 return false;
         }
+        return true;
+      }
     }
-    const JsonValue* per_node = t.find("per_node");
-    if (per_node == nullptr || !per_node->is_array())
-        return fail(error, where + ": 'per_node' must be an array");
-    for (std::size_t i = 0; i < per_node->array.size(); ++i) {
-        const std::string nw = where + ".per_node[" + std::to_string(i) + "]";
-        const JsonValue& nm = per_node->array[i];
-        if (!nm.is_object())
-            return fail(error, nw + " must be an object");
-        for (const char* field : {"node", "local_tx", "global_tx"})
-            if (!require_number(nm, field, error, nw))
-                return false;
-    }
-    for (const char* object : {"attributed", "unattributed"}) {
-        const JsonValue* c = t.find(object);
-        if (c == nullptr ||
-            !validate_tx_count(*c, error, where + "." + object))
-            return false;
-    }
-    return true;
+    return ok || fail(error, path_of(at) + " must be " + kind_noun(kind));
 }
 
+/** Check each member of @p object the table declares in @p fields; a
+ *  required one that is absent fails, and so does any member the table
+ *  does not declare. */
 bool
-validate_run_contention(const JsonValue& c, std::string* error,
-                        const std::string& where)
+check_members(const JsonValue& object, const std::vector<Field>& fields,
+              const Where* at, std::string* error)
 {
-    if (!c.is_object())
-        return fail(error, where + " must be an object");
-    for (const char* field : {"sim_time_ns", "series_bin_ns"})
-        if (!require_number(c, field, error, where))
-            return false;
-    const JsonValue* resources = c.find("resources");
-    if (resources == nullptr || !resources->is_array())
-        return fail(error, where + ": 'resources' must be an array");
-    for (std::size_t i = 0; i < resources->array.size(); ++i) {
-        const std::string rw =
-            where + ".resources[" + std::to_string(i) + "]";
-        const JsonValue& r = resources->array[i];
-        if (!r.is_object())
-            return fail(error, rw + " must be an object");
-        if (!require_string(r, "name", error, rw))
-            return false;
-        for (const char* field : {"node", "transactions", "busy_ns",
-                                  "queue_ns", "utilization"})
-            if (!require_number(r, field, error, rw))
-                return false;
-        const JsonValue* h = r.find("queue_delay_ns");
-        if (h == nullptr ||
-            !validate_histogram(*h, error, rw + ".queue_delay_ns"))
-            return false;
-        // The series arrays are optional (present only when a bin width
-        // was configured); when present they must be arrays.
-        for (const char* bins : {"busy_ns_bins", "tx_bins"})
-            if (const JsonValue* b = r.find(bins);
-                b != nullptr && !b->is_array())
-                return fail(error, rw + ": '" + bins + "' must be an array");
-    }
-    return true;
-}
-
-bool
-validate_lock_metrics(const JsonValue& lm, std::string* error,
-                      const std::string& where)
-{
-    if (!lm.is_object())
-        return fail(error, where + " must be an object");
-    if (!require_string(lm, "lock_id", error, where))
-        return false;
-    for (const char* field :
-         {"attempts", "acquisitions", "releases", "handovers_local",
-          "handovers_remote", "repeats", "local_handover_fraction",
-          "remote_handover_fraction", "angry_transitions"})
-        if (!require_number(lm, field, error, where))
-            return false;
-    const JsonValue* batches = lm.find("node_batch_lengths");
-    if (batches == nullptr ||
-        !validate_summary(*batches, error, where + ".node_batch_lengths"))
-        return false;
-    for (const char* histogram : {"wait_ns", "hold_ns"}) {
-        const JsonValue* h = lm.find(histogram);
-        if (h == nullptr ||
-            !validate_histogram(*h, error, where + "." + histogram))
-            return false;
-    }
-    const JsonValue* backoff = lm.find("backoff");
-    if (backoff == nullptr || !backoff->is_object())
-        return fail(error, where + ": 'backoff' must be an object");
-    for (const char* cls : {"generic", "local", "remote"}) {
-        const JsonValue* b = backoff->find(cls);
-        if (b == nullptr || !b->is_object())
-            return fail(error,
-                        where + ".backoff: missing class '" + cls + "'");
-        for (const char* field : {"episodes", "total_ns"})
-            if (!require_number(*b, field, error,
-                                where + ".backoff." + cls))
-                return false;
-    }
-    const JsonValue* gate = lm.find("gate");
-    if (gate == nullptr || !gate->is_object())
-        return fail(error, where + ": 'gate' must be an object");
-    for (const char* field :
-         {"blocked", "passed", "publishes", "opens", "block_fraction"})
-        if (!require_number(*gate, field, error, where + ".gate"))
-            return false;
-    const JsonValue* per_node = lm.find("per_node");
-    if (per_node == nullptr || !per_node->is_array())
-        return fail(error, where + ": 'per_node' must be an array");
-    for (std::size_t i = 0; i < per_node->array.size(); ++i) {
-        const std::string nw = where + ".per_node[" + std::to_string(i) + "]";
-        const JsonValue& nm = per_node->array[i];
-        if (!nm.is_object())
-            return fail(error, nw + " must be an object");
-        for (const char* field : {"node", "acquisitions", "handovers_in",
-                                  "gate_blocked", "gate_passed"})
-            if (!require_number(nm, field, error, nw))
-                return false;
-    }
-    return true;
-}
-
-bool
-validate_metrics(const JsonValue& m, std::string* error,
-                 const std::string& where)
-{
-    if (!m.is_object())
-        return fail(error, where + " must be an object or null");
-    if (!require_number(m, "events_seen", error, where))
-        return false;
-    if (!require_string(m, "primary_lock_id", error, where))
-        return false;
-    const JsonValue* locks = m.find("locks");
-    if (locks == nullptr || !locks->is_array())
-        return fail(error, where + ": 'locks' must be an array");
-    for (std::size_t i = 0; i < locks->array.size(); ++i)
-        if (!validate_lock_metrics(locks->array[i], error,
-                                   where + ".locks[" + std::to_string(i) +
-                                       "]"))
-            return false;
-    const JsonValue* per_cpu = m.find("per_cpu");
-    if (per_cpu == nullptr || !per_cpu->is_array())
-        return fail(error, where + ": 'per_cpu' must be an array");
-    for (std::size_t i = 0; i < per_cpu->array.size(); ++i) {
-        const std::string cw = where + ".per_cpu[" + std::to_string(i) + "]";
-        const JsonValue& cm = per_cpu->array[i];
-        if (!cm.is_object())
-            return fail(error, cw + " must be an object");
-        for (const char* field : {"cpu", "acquisitions", "backoff_episodes",
-                                  "backoff_ns", "cs_ns"})
-            if (!require_number(cm, field, error, cw))
-                return false;
-    }
-    return true;
-}
-
-bool
-validate_native_traffic(const JsonValue& nt, std::string* error,
-                        const std::string& where)
-{
-    if (!nt.is_object())
-        return fail(error, where + " must be an object");
-    const JsonValue* available = nt.find("available");
-    if (available == nullptr || available->type != JsonValue::Type::Bool)
-        return fail(error, where + ": 'available' must be a boolean");
-    if (!require_string(nt, "source", error, where))
-        return false;
-    const JsonValue* paranoid = nt.find("perf_event_paranoid");
-    if (paranoid == nullptr ||
-        (paranoid->type != JsonValue::Type::Null && !paranoid->is_number()))
-        return fail(error,
-                    where + ": 'perf_event_paranoid' must be number or null");
-    if (!available->boolean &&
-        !require_string(nt, "unavailable_reason", error, where))
-        return false;
-    for (const char* field :
-         {"samples", "threads", "time_enabled_ns", "time_running_ns",
-          "local_tx_per_acquisition", "global_tx_per_acquisition"})
-        if (!require_number(nt, field, error, where))
-            return false;
-    const JsonValue* multiplexed = nt.find("multiplexed");
-    if (multiplexed == nullptr ||
-        multiplexed->type != JsonValue::Type::Bool)
-        return fail(error, where + ": 'multiplexed' must be a boolean");
-    const JsonValue* events = nt.find("events");
-    if (events == nullptr || !events->is_array())
-        return fail(error, where + ": 'events' must be an array");
-    for (std::size_t i = 0; i < events->array.size(); ++i) {
-        const std::string ew = where + ".events[" + std::to_string(i) + "]";
-        const JsonValue& e = events->array[i];
-        if (!e.is_object())
-            return fail(error, ew + " must be an object");
-        for (const char* field : {"event", "status"})
-            if (!require_string(e, field, error, ew))
-                return false;
-        if (const JsonValue* detail = e.find("detail");
-            detail != nullptr && !detail->is_string())
-            return fail(error, ew + ": 'detail' must be a string");
-    }
-    const JsonValue* per_lock = nt.find("per_lock");
-    if (per_lock == nullptr || !per_lock->is_array())
-        return fail(error, where + ": 'per_lock' must be an array");
-    for (std::size_t i = 0; i < per_lock->array.size(); ++i) {
-        const std::string lw = where + ".per_lock[" + std::to_string(i) + "]";
-        const JsonValue& lock = per_lock->array[i];
-        if (!lock.is_object())
-            return fail(error, lw + " must be an object");
-        if (!require_string(lock, "lock_id", error, lw))
-            return false;
-        const JsonValue* phases = lock.find("phases");
-        if (phases == nullptr || !phases->is_object())
-            return fail(error, lw + ": 'phases' must be an object");
-        for (const char* phase : {"none", "acquire_spin", "handover",
-                                  "critical", "release", "gate_publish"}) {
-            const JsonValue* p = phases->find(phase);
-            const std::string pw = lw + ".phases." + phase;
-            if (p == nullptr || !p->is_object())
-                return fail(error, pw + " must be an object");
-            for (const char* field : {"cycles", "instructions",
-                                      "llc_load_misses", "remote_accesses"})
-                if (!require_number(*p, field, error, pw))
-                    return false;
+    std::size_t matched = 0;
+    for (const Field& field : fields) {
+        const auto it = object.object.find(field.name);
+        if (it == object.object.end()) {
+            if (field.optional)
+                continue;
+            return fail(error, path_of(at) + ": missing field '" +
+                                   field.name + "'");
         }
+        ++matched;
+        const Where here{at, &field.name, 0};
+        if (!check_value(it->second, field.kind, field.members, &here, error))
+            return false;
     }
+    if (matched != object.object.size())
+        for (const auto& [name, value] : object.object)
+            if (std::none_of(fields.begin(), fields.end(),
+                             [&](const Field& f) { return f.name == name; }))
+                return fail(error, path_of(at) + ": unknown field '" + name +
+                                       "'");
     return true;
 }
 
-bool
-validate_robustness(const JsonValue& r, std::string* error,
-                    const std::string& where)
+void
+strip_members(JsonValue& object, const std::vector<Field>& fields)
 {
-    if (!r.is_object())
-        return fail(error, where + " must be an object");
-    const JsonValue* campaign = r.find("campaign");
-    if (campaign == nullptr || !campaign->is_object())
-        return fail(error, where + ": 'campaign' must be an object");
-    const JsonValue* presets = campaign->find("presets");
-    if (presets == nullptr || !presets->is_array())
-        return fail(error, where + ".campaign: 'presets' must be an array");
-    for (const JsonValue& p : presets->array)
-        if (!p.is_string())
-            return fail(error,
-                        where + ".campaign.presets entries must be strings");
-    for (const char* field :
-         {"timeout_ns", "iterations", "first_seed", "num_seeds"})
-        if (!require_number(*campaign, field, error, where + ".campaign"))
-            return false;
-    const JsonValue* cells = r.find("cells");
-    if (cells == nullptr || !cells->is_array())
-        return fail(error, where + ": 'cells' must be an array");
-    for (std::size_t i = 0; i < cells->array.size(); ++i) {
-        const std::string cw = where + ".cells[" + std::to_string(i) + "]";
-        const JsonValue& c = cells->array[i];
-        if (!c.is_object())
-            return fail(error, cw + " must be an object");
-        for (const char* field : {"lock", "preset", "verdict", "stop"})
-            if (!require_string(c, field, error, cw))
-                return false;
-        for (const char* field :
-             {"nodes", "cpus_per_node", "seed", "steps", "acquisitions",
-              "timeouts", "mutex_violations", "faults_injected",
-              "max_overshoot_ns", "overshoot_bound_ns", "abandons", "parked",
-              "grant_races", "reclaims", "rejoins", "unparks",
-              "leaked_nodes"})
-            if (!require_number(c, field, error, cw))
-                return false;
-        // "what"/"trace"/"minimal_trace" are optional (failed cells only).
-        for (const char* field : {"what", "trace", "minimal_trace"})
-            if (const JsonValue* v = c.find(field);
-                v != nullptr && !v->is_string())
-                return fail(error,
-                            cw + ": '" + field + "' must be a string");
+    for (const Field& field : fields) {
+        const auto it = object.object.find(field.name);
+        if (it == object.object.end())
+            continue;
+        if (field.host_dependent) {
+            object.object.erase(it);
+            continue;
+        }
+        JsonValue& value = it->second;
+        if (value.is_object())
+            strip_members(value, field.members);
+        for (JsonValue& element : value.array)
+            if (element.is_object())
+                strip_members(element, field.members);
     }
-    const JsonValue* per_lock = r.find("per_lock");
-    if (per_lock == nullptr || !per_lock->is_array())
-        return fail(error, where + ": 'per_lock' must be an array");
-    for (std::size_t i = 0; i < per_lock->array.size(); ++i) {
-        const std::string lw = where + ".per_lock[" + std::to_string(i) + "]";
-        const JsonValue& row = per_lock->array[i];
-        if (!row.is_object())
-            return fail(error, lw + " must be an object");
-        if (!require_string(row, "lock", error, lw))
-            return false;
-        for (const char* field :
-             {"cells", "failures", "acquisitions", "timeouts", "abandons",
-              "parked", "grant_races", "reclaims", "rejoins", "unparks",
-              "leaked_nodes", "max_overshoot_ns"})
-            if (!require_number(row, field, error, lw))
-                return false;
+}
+
+/** A member as the field reference spells it: name, shape, notes. */
+std::string
+describe(const Field& field)
+{
+    std::string out = field.name;
+    std::string notes;
+    switch (field.kind) {
+      case Kind::Number: break;
+      case Kind::String: notes = ", string"; break;
+      case Kind::Bool: notes = ", bool"; break;
+      case Kind::NumberOrNull: notes = ", number or null"; break;
+      case Kind::Object: out += " {}"; break;
+      case Kind::ObjectOrNull: out += " {} or null"; break;
+      case Kind::Objects: out += " [{}]"; break;
+      case Kind::Numbers: out += " [numbers]"; break;
+      case Kind::Strings: out += " [strings]"; break;
     }
-    if (!require_number(r, "failures", error, where))
-        return false;
-    if (!require_string(r, "verdict", error, where))
-        return false;
-    return true;
+    if (field.since > 1)
+        notes += ", v" + std::to_string(field.since);
+    if (field.optional)
+        notes += ", optional";
+    if (field.host_dependent)
+        notes += ", host-dependent";
+    if (!notes.empty())
+        out += " (" + notes.substr(2) + ")";
+    return out;
+}
+
+void
+render(const std::vector<Field>& members, const std::string& path,
+       std::string& out)
+{
+    out += "- `" + path + "`:";
+    const char* separator = " ";
+    for (const Field& field : members) {
+        out += separator + describe(field);
+        separator = ", ";
+    }
+    out += '\n';
+    for (const Field& field : members)
+        if (!field.members.empty())
+            render(field.members,
+                   path + "." + field.name +
+                       (field.kind == Kind::Objects ? "[]" : ""),
+                   out);
 }
 
 } // namespace
@@ -1015,160 +1055,27 @@ validate_report(const JsonValue& document, std::string* error)
     const JsonValue* version = document.find("schema_version");
     if (version == nullptr || !version->is_number())
         return fail(error, "'schema_version' must be a number");
-    if (static_cast<int>(version->number) != kReportSchemaVersion)
-        return fail(error,
-                    "report is v" +
-                        std::to_string(static_cast<int>(version->number)) +
-                        ", tool understands v" +
-                        std::to_string(kReportSchemaVersion));
-    if (!require_string(document, "tool", error, "report"))
-        return false;
-
-    const JsonValue* config = document.find("config");
-    if (config == nullptr || !config->is_object())
-        return fail(error, "'config' must be an object");
-    if (!require_string(*config, "bench", error, "config"))
-        return false;
-    for (const char* field :
-         {"nodes", "cpus_per_node", "threads", "critical_work",
-          "private_work", "iterations", "nuca_ratio", "seed"})
-        if (!require_number(*config, field, error, "config"))
-            return false;
-
-    const JsonValue* runs = document.find("runs");
-    if (runs == nullptr || !runs->is_array())
-        return fail(error, "'runs' must be an array");
-    for (std::size_t i = 0; i < runs->array.size(); ++i) {
-        const std::string where = "runs[" + std::to_string(i) + "]";
-        const JsonValue& run = runs->array[i];
-        if (!run.is_object())
-            return fail(error, where + " must be an object");
-        if (!require_string(run, "lock", error, where))
-            return false;
-        const JsonValue* result = run.find("result");
-        if (result == nullptr ||
-            !validate_result(*result, error, where + ".result"))
-            return false;
-        const JsonValue* traffic = run.find("traffic");
-        if (traffic == nullptr ||
-            !validate_run_traffic(*traffic, error, where + ".traffic"))
-            return false;
-        const JsonValue* contention = run.find("contention");
-        if (contention == nullptr ||
-            !validate_run_contention(*contention, error,
-                                     where + ".contention"))
-            return false;
-        const JsonValue* metrics = run.find("metrics");
-        if (metrics == nullptr)
-            return fail(error, where + ": missing field 'metrics'");
-        if (metrics->type != JsonValue::Type::Null &&
-            !validate_metrics(*metrics, error, where + ".metrics"))
-            return false;
-        // "host" is optional (bench_sim_throughput emits it); when present
-        // it must carry the wall-clock fields.
-        if (const JsonValue* host = run.find("host"); host != nullptr) {
-            if (!host->is_object())
-                return fail(error, where + ": 'host' must be an object");
-            for (const char* field : {"wall_ns", "events_per_sec",
-                                      "switches_per_sec", "jobs"})
-                if (!require_number(*host, field, error, where + ".host"))
-                    return false;
-        }
-        // "adaptive" is optional (v4; runs whose primary lock switched
-        // gears); when present it must carry the full telemetry shape.
-        if (const JsonValue* adaptive = run.find("adaptive");
-            adaptive != nullptr) {
-            const std::string aw = where + ".adaptive";
-            if (!adaptive->is_object())
-                return fail(error, aw + " must be an object");
-            if (!require_number(*adaptive, "switches", error, aw))
-                return false;
-            const JsonValue* reasons = adaptive->find("reasons");
-            if (reasons == nullptr || !reasons->is_object())
-                return fail(error, aw + ": 'reasons' must be an object");
-            for (const char* field : {"contention", "nuca_traffic", "quiet",
-                                      "timeout_storm", "recovery"})
-                if (!require_number(*reasons, field, error, aw + ".reasons"))
-                    return false;
-            const JsonValue* residency = adaptive->find("gear_residency_ns");
-            if (residency == nullptr || !residency->is_object())
-                return fail(error,
-                            aw + ": 'gear_residency_ns' must be an object");
-            for (const char* field : {"tatas", "hbo", "queue"})
-                if (!require_number(*residency, field, error,
-                                    aw + ".gear_residency_ns"))
-                    return false;
-            const JsonValue* h = adaptive->find("demote_latency_ns");
-            if (h == nullptr ||
-                !validate_histogram(*h, error, aw + ".demote_latency_ns"))
-                return false;
-        }
-        // "structs" is optional (v5; KV-service runs); when present it
-        // must carry the full data-structure telemetry shape.
-        if (const JsonValue* structs = run.find("structs");
-            structs != nullptr) {
-            const std::string sw = where + ".structs";
-            if (!structs->is_object())
-                return fail(error, sw + " must be an object");
-            for (const char* field :
-                 {"stripes", "reads", "writes", "scans", "inserts", "hits",
-                  "misses", "local_handover_fraction"})
-                if (!require_number(*structs, field, error, sw))
-                    return false;
-            const JsonValue* resize = structs->find("resize");
-            if (resize == nullptr || !resize->is_object())
-                return fail(error, sw + ": 'resize' must be an object");
-            for (const char* field : {"epochs", "migrated_keys", "stalls"})
-                if (!require_number(*resize, field, error, sw + ".resize"))
-                    return false;
-            const JsonValue* stall = resize->find("stall_ns");
-            if (stall == nullptr ||
-                !validate_histogram(*stall, error, sw + ".resize.stall_ns"))
-                return false;
-            const JsonValue* latency = structs->find("op_latency_ns");
-            if (latency == nullptr || !latency->is_object())
-                return fail(error,
-                            sw + ": 'op_latency_ns' must be an object");
-            for (const char* op : {"read", "write", "scan"}) {
-                const JsonValue* h = latency->find(op);
-                if (h == nullptr ||
-                    !validate_histogram(*h, error,
-                                        sw + ".op_latency_ns." + op))
-                    return false;
-            }
-            const JsonValue* per_stripe = structs->find("per_stripe");
-            if (per_stripe == nullptr || !per_stripe->is_array())
-                return fail(error, sw + ": 'per_stripe' must be an array");
-            for (std::size_t s = 0; s < per_stripe->array.size(); ++s) {
-                const std::string pw =
-                    sw + ".per_stripe[" + std::to_string(s) + "]";
-                const JsonValue& row = per_stripe->array[s];
-                if (!row.is_object())
-                    return fail(error, pw + " must be an object");
-                if (!require_string(row, "lock_id", error, pw))
-                    return false;
-                for (const char* field :
-                     {"stripe", "acquisitions", "handovers_local",
-                      "handovers_remote", "local_handover_fraction",
-                      "migrations"})
-                    if (!require_number(row, field, error, pw))
-                        return false;
-            }
-        }
-        // "native_traffic" is optional (v6; native-backend runs); when
-        // present it must carry the availability marker and the counter
-        // tables — empty tables with a reason when perf was denied.
-        if (const JsonValue* nt = run.find("native_traffic");
-            nt != nullptr &&
-            !validate_native_traffic(*nt, error, where + ".native_traffic"))
-            return false;
+    if (version->number != kReportSchemaVersion) {
+        // %g, not a cast to int: the value comes from outside the program.
+        char seen[32];
+        std::snprintf(seen, sizeof seen, "%g", version->number);
+        return fail(error, std::string("report is v") + seen +
+                               ", tool understands v" +
+                               std::to_string(kReportSchemaVersion));
     }
-    // v3: "robustness" is optional (fault-campaign reports only); when
-    // present it must carry the full campaign/cells/per_lock shape.
-    if (const JsonValue* robustness = document.find("robustness");
-        robustness != nullptr &&
-        !validate_robustness(*robustness, error, "robustness"))
+    if (!check_members(document, report_schema().members, nullptr, error))
         return false;
+    // The one rule the table does not state: counters that could not be
+    // read must say why.
+    const std::vector<JsonValue>& runs = document.find("runs")->array;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        if (const JsonValue* nt = runs[i].find("native_traffic");
+            nt != nullptr && !nt->find("available")->boolean &&
+            nt->find("unavailable_reason") == nullptr)
+            return fail(error, "report.runs[" + std::to_string(i) +
+                                   "].native_traffic: missing field "
+                                   "'unavailable_reason' (required when "
+                                   "'available' is false)");
     return true;
 }
 
@@ -1180,6 +1087,21 @@ validate_report_text(std::string_view text, std::string* error)
     if (!document)
         return fail(error, "JSON parse error: " + parse_error);
     return validate_report(*document, error);
+}
+
+void
+strip_nondeterministic(JsonValue& document)
+{
+    if (document.is_object())
+        strip_members(document, report_schema().members);
+}
+
+std::string
+report_schema_reference()
+{
+    std::string out;
+    render(report_schema().members, "report", out);
+    return out;
 }
 
 } // namespace nucalock::obs

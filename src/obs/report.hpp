@@ -35,14 +35,17 @@
  * read at probe phase transitions on the native backend, with per-event
  * availability verdicts, multiplex detection, the proxy-mapped local/
  * global per-acquisition rates, and — when perf is denied or absent — a
- * machine-readable unavailable marker instead of counts. Like "host" it is
- * inherently nondeterministic, so `nucaprof --diff` strips it.
+ * machine-readable unavailable marker instead of counts. Like "host" it
+ * measures the host, so `nucaprof --diff` strips it.
  *
  * Shared by tools/nucaprof (full metrics) and tools/nucabench --json
- * (results only). The schema is documented in docs/observability.md; bump
- * kReportSchemaVersion on any breaking change to the emitted shape.
- * validate_report() checks a parsed document against the schema and is
- * what `nucaprof --check-schema` (and the CI perf-smoke job) run.
+ * (results only). Besides the writer, one declarative table in report.cpp
+ * states the schema: validate_report() walks a parsed document against it
+ * (what `nucaprof --check-schema` and CI run), strip_nondeterministic()
+ * erases the members it marks host-dependent, and
+ * report_schema_reference() renders it as the field reference in
+ * docs/observability.md. Bump kReportSchemaVersion on any breaking change
+ * to the emitted shape.
  */
 #ifndef NUCALOCK_OBS_REPORT_HPP
 #define NUCALOCK_OBS_REPORT_HPP
@@ -198,13 +201,24 @@ void write_report(std::ostream& os, const ReportConfig& config,
 /**
  * Validate a parsed report against the v6 schema. Returns true when the
  * document conforms; otherwise false with a description in *error. A
- * version mismatch fails with "report is vN, tool understands vM" so a
- * reader paired with the wrong tool build is diagnosed immediately.
+ * member that is absent though the writer always emits it fails, and so
+ * does a member the schema does not declare. A version mismatch fails with
+ * "report is vN, tool understands vM" so a reader paired with the wrong
+ * tool build is diagnosed immediately.
  */
 bool validate_report(const JsonValue& document, std::string* error);
 
 /** Parse + validate a report file. */
 bool validate_report_text(std::string_view text, std::string* error);
+
+/** Erase every member the schema marks host-dependent, leaving what is a
+ *  deterministic function of the simulated runs: what `nucaprof --diff`
+ *  compares. */
+void strip_nondeterministic(JsonValue& document);
+
+/** The schema as the markdown field reference docs/observability.md
+ *  embeds, one line per object; obs_test keeps the two equal. */
+std::string report_schema_reference();
 
 } // namespace nucalock::obs
 

@@ -482,6 +482,22 @@ TEST(AdaptiveReport, V4EmitsAndValidatesTheAdaptiveObject)
     EXPECT_EQ(runs->array[1].find("adaptive"), nullptr);
 }
 
+// obs spells the gear and reason names itself (it cannot include locks);
+// this is the link that keeps the report's keys equal to the policy's.
+TEST(AdaptiveReport, ObsNamesAreThePolicyNames)
+{
+    ASSERT_EQ(obs::kAdaptGearNames.size(),
+              static_cast<std::size_t>(kAdaptGearCount));
+    for (int g = 0; g < kAdaptGearCount; ++g)
+        EXPECT_STREQ(obs::kAdaptGearNames[static_cast<std::size_t>(g)],
+                     adapt_gear_name(static_cast<AdaptGear>(g)));
+    ASSERT_EQ(obs::kAdaptReasonNames.size(),
+              static_cast<std::size_t>(kAdaptReasonCount));
+    for (int r = 0; r < kAdaptReasonCount; ++r)
+        EXPECT_STREQ(obs::kAdaptReasonNames[static_cast<std::size_t>(r)],
+                     adapt_reason_name(static_cast<AdaptReason>(r)));
+}
+
 TEST(AdaptiveReport, ValidatorRejectsCorruptAdaptiveObject)
 {
     MetricsRegistry reg;

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -20,6 +23,7 @@
 #include "harness/newbench.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/perf_counters.hpp"
 #include "obs/probe.hpp"
 #include "obs/report.hpp"
 #include "obs/timeline.hpp"
@@ -434,6 +438,224 @@ TEST(Report, VersionMismatchNamesBothVersions)
     const std::string expected = "report is v5, tool understands v" +
                                  std::to_string(kReportSchemaVersion);
     EXPECT_NE(error.find(expected), std::string::npos) << error;
+}
+
+/**
+ * A report with every optional member present: a KV-service run with a
+ * contention series, metrics with an ADAPTIVE gear switch, structs, host
+ * stats and counted native traffic whose events carry a detail; a second
+ * run whose counters were denied; and a robustness object with a failed
+ * cell.
+ */
+JsonValue
+full_report()
+{
+    MetricsRegistry reg;
+    apps::KvServiceConfig kv;
+    kv.topology = Topology::symmetric(2, 2);
+    kv.threads = 4;
+    kv.keys = 256;
+    kv.stripes = 4;
+    kv.ops_per_thread = 30;
+    kv.probe = &reg;
+    kv.contention_bin_ns = 10'000;
+    const apps::KvOutcome outcome = apps::run_kv_service(LockKind::HboGt, kv);
+    // a0 = from | (to << 8): tatas -> hbo; a1 = nuca_traffic.
+    reg.on_event(rec(LockEvent::AdaptSwitch, outcome.bench.total_time,
+                     reg.primary_lock_id(), 0, 0, 0, 1u << 8, 1));
+    reg.finalize();
+
+    FakeCounterSource::Steps steps;
+    steps.remote_unsupported = true;
+    FakeCounterSource source(steps);
+    NativeCounterSession session(source);
+    native::PhaseRecorder* recorder = session.bind_thread(0, 0);
+    recorder->on_phase(0x20, sim::TxPhase::AcquireSpin);
+    recorder->on_phase(0x20, sim::TxPhase::Critical);
+    recorder->on_phase(0x20, sim::TxPhase::Release);
+    NativeTrafficStats counted = session.finish();
+    NativeTrafficStats denied;
+    denied.source = "fake";
+    denied.unavailable_reason = "denied by test policy";
+
+    std::vector<ReportRun> runs;
+    for (const NativeTrafficStats* native : {&counted, &denied}) {
+        ReportRun run{"HBO_GT", outcome.bench, &reg};
+        run.host.valid = true;
+        run.host.wall_ns = 1e6;
+        run.structs = &outcome.structs;
+        run.native_traffic = native;
+        runs.push_back(run);
+    }
+
+    RobustnessReport robustness;
+    robustness.presets = {"holder", "death"};
+    RobustnessCell cell;
+    cell.lock = "MCS";
+    cell.preset = "death";
+    cell.failed = true;
+    cell.what = "mutual exclusion violated";
+    cell.stop = "deadlock";
+    cell.trace = "nc1:0.1.0";
+    cell.minimal_trace = "nc1:0";
+    robustness.cells = {cell};
+    RobustnessLockRow row;
+    row.lock = "MCS";
+    row.cells = 1;
+    row.failures = 1;
+    robustness.per_lock = {row};
+    robustness.failures = 1;
+
+    ReportConfig config;
+    config.tool = "obs_test";
+    config.bench = "app-kv";
+    std::ostringstream oss;
+    write_report(oss, config, runs, &robustness);
+    return *json_parse(oss.str());
+}
+
+/** Call @p visit on every object in @p value with its path, array indices
+ *  written as "[]". */
+void
+for_each_object(JsonValue& value, const std::string& path,
+                const std::function<void(JsonValue&, const std::string&)>&
+                    visit)
+{
+    if (value.is_object()) {
+        visit(value, path);
+        for (auto& [name, child] : value.object)
+            for_each_object(child, path + "." + name, visit);
+    }
+    for (JsonValue& element : value.array)
+        for_each_object(element, path + "[]", visit);
+}
+
+bool
+same(const JsonValue& a, const JsonValue& b)
+{
+    if (a.type != b.type || a.boolean != b.boolean || a.number != b.number ||
+        a.string != b.string || a.array.size() != b.array.size() ||
+        a.object.size() != b.object.size())
+        return false;
+    for (std::size_t i = 0; i < a.array.size(); ++i)
+        if (!same(a.array[i], b.array[i]))
+            return false;
+    for (auto x = a.object.begin(), y = b.object.begin(); x != a.object.end();
+         ++x, ++y)
+        if (x->first != y->first || !same(x->second, y->second))
+            return false;
+    return true;
+}
+
+TEST(Report, EveryAlwaysEmittedMemberIsRequired)
+{
+    JsonValue doc = full_report();
+    std::string error;
+    ASSERT_TRUE(validate_report(doc, &error)) << error;
+
+    // Delete each distinct member path at its first occurrence: only the
+    // members the writer leaves out of some reports may go.
+    std::set<std::string> tried;
+    std::set<std::string> optional;
+    for_each_object(doc, "report", [&](JsonValue& object,
+                                       const std::string& path) {
+        std::vector<std::string> names;
+        for (const auto& [name, child] : object.object)
+            names.push_back(name);
+        for (const std::string& name : names) {
+            if (!tried.insert(path + "." + name).second)
+                continue;
+            auto member = object.object.extract(name);
+            if (validate_report(doc, nullptr))
+                optional.insert(path + "." + name);
+            object.object.insert(std::move(member));
+        }
+    });
+    const std::set<std::string> expected = {
+        "report.robustness",
+        "report.robustness.cells[].minimal_trace",
+        "report.robustness.cells[].trace",
+        "report.robustness.cells[].what",
+        "report.runs[].adaptive",
+        "report.runs[].contention.resources[].busy_ns_bins",
+        "report.runs[].contention.resources[].tx_bins",
+        "report.runs[].host",
+        "report.runs[].native_traffic",
+        "report.runs[].native_traffic.events[].detail",
+        "report.runs[].structs",
+    };
+    EXPECT_EQ(optional, expected);
+    EXPECT_GT(tried.size(), 300u);
+    ASSERT_TRUE(validate_report(doc, &error)) << error;
+}
+
+TEST(Report, UnknownMembersAreRejected)
+{
+    JsonValue doc = full_report();
+    std::set<std::string> tried;
+    std::vector<std::string> accepted;
+    for_each_object(doc, "report", [&](JsonValue& object,
+                                       const std::string& path) {
+        if (!tried.insert(path).second)
+            return;
+        object.object["bogus"] = JsonValue{};
+        std::string error;
+        if (validate_report(doc, &error))
+            accepted.push_back(path);
+        else
+            EXPECT_NE(error.find("unknown field 'bogus'"), std::string::npos)
+                << error;
+        object.object.erase("bogus");
+    });
+    EXPECT_EQ(accepted, std::vector<std::string>{});
+    EXPECT_GT(tried.size(), 50u);
+}
+
+TEST(Report, StripRemovesHostDependentMembersOnly)
+{
+    const JsonValue doc = full_report();
+    JsonValue expected = doc;
+    for (JsonValue& run : expected.object["runs"].array) {
+        ASSERT_EQ(run.object.erase("host"), 1u);
+        ASSERT_EQ(run.object.erase("native_traffic"), 1u);
+    }
+    JsonValue stripped = doc;
+    strip_nondeterministic(stripped);
+    EXPECT_TRUE(same(stripped, expected));
+    EXPECT_FALSE(same(stripped, doc));
+}
+
+std::string
+read_source_file(const std::string& relative)
+{
+    std::ifstream in(std::string(NUCALOCK_SOURCE_DIR) + "/" + relative);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(Report, DocsAgreeWithTheSchemaTable)
+{
+    // docs/observability.md embeds the rendered table between markers.
+    const std::string doc = read_source_file("docs/observability.md");
+    const std::string begin = "<!-- report-schema:begin -->\n";
+    const std::size_t from = doc.find(begin);
+    const std::size_t to = doc.find("<!-- report-schema:end -->");
+    ASSERT_NE(from, std::string::npos);
+    ASSERT_NE(to, std::string::npos);
+    const std::string section =
+        doc.substr(from + begin.size(), to - from - begin.size());
+    EXPECT_EQ(section, report_schema_reference())
+        << "replace the report-schema section of docs/observability.md "
+           "with:\n"
+        << report_schema_reference();
+
+    // The committed reference report CI's events/sec floor reads.
+    const std::string report =
+        read_source_file("docs/reports/big_topology_scaling.json");
+    ASSERT_FALSE(report.empty());
+    std::string error;
+    EXPECT_TRUE(validate_report_text(report, &error)) << error;
 }
 
 // --------------------------------------- probes do not perturb the run --

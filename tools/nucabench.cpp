@@ -9,7 +9,6 @@
  *   nucabench --bench=uncontested --lock=HBO_GT
  *   nucabench --nodes=4 --cpus-per-node=8 --nuca-ratio=10 --csv
  */
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "apps/kv_service.hpp"
 #include "apps/workload.hpp"
 #include "exec/executor.hpp"
+#include "front_end.hpp"
 #include "harness/newbench.hpp"
 #include "harness/options.hpp"
 #include "harness/traditional.hpp"
@@ -30,56 +30,7 @@ namespace {
 using namespace nucalock;
 using namespace nucalock::harness;
 using namespace nucalock::locks;
-
-std::vector<LockKind>
-selected_locks(const CliOptions& opts)
-{
-    if (opts.lock != "ALL")
-        return {*parse_lock_name(opts.lock)};
-    std::vector<LockKind> kinds;
-    for (LockKind kind : all_lock_kinds()) {
-        if (kind == LockKind::Rh && opts.nodes > 2)
-            continue;
-        kinds.push_back(kind);
-    }
-    return kinds;
-}
-
-sim::LatencyModel
-latency_of(const CliOptions& opts)
-{
-    return opts.nuca_ratio == 0.0 ? sim::LatencyModel::wildfire()
-                                  : sim::LatencyModel::scaled(opts.nuca_ratio);
-}
-
-/** Write the machine-readable report to --json's path ("-" = stdout). */
-int
-write_json_report(const CliOptions& opts, const char* bench_name,
-                  const std::vector<obs::ReportRun>& runs)
-{
-    obs::ReportConfig rc;
-    rc.tool = "nucabench";
-    rc.bench = bench_name;
-    rc.nodes = opts.nodes;
-    rc.cpus_per_node = opts.cpus_per_node;
-    rc.threads = opts.threads;
-    rc.critical_work = opts.critical_work;
-    rc.private_work = opts.private_work;
-    rc.iterations = opts.iterations;
-    rc.nuca_ratio = opts.nuca_ratio;
-    rc.seed = opts.seed;
-    if (opts.json == "-") {
-        obs::write_report(std::cout, rc, runs);
-        return 0;
-    }
-    std::ofstream out(opts.json);
-    if (!out) {
-        std::cerr << "error: cannot write --json file '" << opts.json << "'\n";
-        return 1;
-    }
-    obs::write_report(out, rc, runs);
-    return 0;
-}
+using namespace nucalock::tools;
 
 int
 run_contended(const CliOptions& opts)
@@ -170,30 +121,8 @@ run_contended(const CliOptions& opts)
     if (!csv)
         table.print(std::cout);
     if (!opts.json.empty())
-        return write_json_report(
-            opts, opts.bench == CliBench::New ? "new" : "traditional", runs);
+        return write_json_report(opts, "nucabench", runs);
     return 0;
-}
-
-/** Build the KV-service config a --bench=app --app=kv run uses. */
-apps::KvServiceConfig
-kv_config_of(const CliOptions& opts)
-{
-    apps::KvServiceConfig config;
-    config.topology = Topology::symmetric(opts.nodes, opts.cpus_per_node);
-    config.latency = latency_of(opts);
-    config.params = opts.params;
-    config.threads = opts.threads;
-    config.keys = opts.kv_keys;
-    config.stripes = opts.kv_stripes;
-    config.zipf_skew = opts.kv_skew;
-    config.read_pct = static_cast<int>(opts.kv_read_pct);
-    config.write_pct = static_cast<int>(opts.kv_write_pct);
-    config.scan_len = opts.kv_scan_len;
-    config.ops_per_thread = opts.kv_ops;
-    config.resize_storms = static_cast<int>(opts.kv_storms);
-    config.seed = opts.seed;
-    return config;
 }
 
 int
@@ -251,7 +180,7 @@ run_app_kv(const CliOptions& opts)
     if (!csv)
         table.print(std::cout);
     if (!opts.json.empty())
-        return write_json_report(opts, "app-kv", runs);
+        return write_json_report(opts, "nucabench", runs);
     return 0;
 }
 

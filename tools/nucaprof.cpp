@@ -22,8 +22,8 @@
  *    written by `nucacheck --campaign --report=...` (per-lock recovery
  *    tables, failing cells with replay traces),
  *  - `--diff=A,B`: compare two reports over their deterministic fields
- *    (the nondeterministic "host" and "native_traffic" objects are
- *    stripped first) and list every differing path — what the CI
+ *    (obs::strip_nondeterministic first erases the members the schema
+ *    marks host-dependent) and list every differing path — what the CI
  *    determinism jobs run instead of raw byte comparison,
  *  - `--counters`: probe hardware-counter availability on this host (one
  *    line per perf event: available / multiplexed / denied with the
@@ -49,6 +49,7 @@
 #include "apps/kv_service.hpp"
 #include "common/logging.hpp"
 #include "exec/executor.hpp"
+#include "front_end.hpp"
 #include "harness/newbench.hpp"
 #include "harness/options.hpp"
 #include "harness/traditional.hpp"
@@ -64,27 +65,7 @@ namespace {
 using namespace nucalock;
 using namespace nucalock::harness;
 using namespace nucalock::locks;
-
-std::vector<LockKind>
-selected_locks(const CliOptions& opts)
-{
-    if (opts.lock != "ALL")
-        return {*parse_lock_name(opts.lock)};
-    std::vector<LockKind> kinds;
-    for (LockKind kind : all_lock_kinds()) {
-        if (kind == LockKind::Rh && opts.nodes > 2)
-            continue;
-        kinds.push_back(kind);
-    }
-    return kinds;
-}
-
-sim::LatencyModel
-latency_of(const CliOptions& opts)
-{
-    return opts.nuca_ratio == 0.0 ? sim::LatencyModel::wildfire()
-                                  : sim::LatencyModel::scaled(opts.nuca_ratio);
-}
+using namespace nucalock::tools;
 
 /** One profiled benchmark run: result plus its finalized registry. */
 struct ProfiledRun
@@ -111,20 +92,7 @@ run_bench(LockKind kind, const CliOptions& opts, const Topology& topo,
     // for; it is pure accounting (never perturbs the run).
     const sim::SimTime bin = opts.trace.empty() ? 0 : kCounterBinNs;
     if (opts.bench == CliBench::App) {
-        apps::KvServiceConfig config;
-        config.topology = topo;
-        config.latency = latency_of(opts);
-        config.params = opts.params;
-        config.threads = opts.threads;
-        config.keys = opts.kv_keys;
-        config.stripes = opts.kv_stripes;
-        config.zipf_skew = opts.kv_skew;
-        config.read_pct = static_cast<int>(opts.kv_read_pct);
-        config.write_pct = static_cast<int>(opts.kv_write_pct);
-        config.scan_len = opts.kv_scan_len;
-        config.ops_per_thread = opts.kv_ops;
-        config.resize_storms = static_cast<int>(opts.kv_storms);
-        config.seed = opts.seed;
+        apps::KvServiceConfig config = kv_config_of(opts);
         config.probe = probe;
         config.contention_bin_ns = bin;
         apps::KvOutcome outcome = apps::run_kv_service(kind, config);
@@ -287,23 +255,6 @@ show_robustness(const std::string& path)
     return failures == 0 ? 0 : 1;
 }
 
-/** Drop every nondeterministic report object: "host" (wall-clock host
- *  measurements) and "native_traffic" (hardware-counter readings vary
- *  between hosts and repetitions). */
-void
-strip_nondeterministic(obs::JsonValue& v)
-{
-    if (v.type == obs::JsonValue::Type::Object) {
-        v.object.erase("host");
-        v.object.erase("native_traffic");
-        for (auto& [key, child] : v.object)
-            strip_nondeterministic(child);
-    } else if (v.type == obs::JsonValue::Type::Array) {
-        for (obs::JsonValue& child : v.array)
-            strip_nondeterministic(child);
-    }
-}
-
 /** Append every path where @p a and @p b differ (caps at 32 entries). */
 void
 diff_values(const obs::JsonValue& a, const obs::JsonValue& b,
@@ -380,8 +331,8 @@ diff_reports(const std::string& spec)
     auto b = load_report(path_b);
     if (!a || !b)
         return 2;
-    strip_nondeterministic(*a);
-    strip_nondeterministic(*b);
+    obs::strip_nondeterministic(*a);
+    obs::strip_nondeterministic(*b);
     std::vector<std::string> diffs;
     diff_values(*a, *b, "$", diffs);
     if (diffs.empty()) {
@@ -657,20 +608,6 @@ main(int argc, char** argv)
     }
 
     if (!opts.json.empty()) {
-        obs::ReportConfig rc_cfg;
-        rc_cfg.tool = "nucaprof";
-        rc_cfg.bench = opts.bench == CliBench::App
-                           ? "app-kv"
-                           : (opts.bench == CliBench::New ? "new"
-                                                          : "traditional");
-        rc_cfg.nodes = opts.nodes;
-        rc_cfg.cpus_per_node = opts.cpus_per_node;
-        rc_cfg.threads = opts.threads;
-        rc_cfg.critical_work = opts.critical_work;
-        rc_cfg.private_work = opts.private_work;
-        rc_cfg.iterations = opts.iterations;
-        rc_cfg.nuca_ratio = opts.nuca_ratio;
-        rc_cfg.seed = opts.seed;
         std::vector<obs::ReportRun> report_runs;
         report_runs.reserve(runs.size());
         for (const ProfiledRun& run : runs) {
@@ -679,17 +616,8 @@ main(int argc, char** argv)
             rr.structs = run.structs.get();
             report_runs.push_back(rr);
         }
-        if (opts.json == "-") {
-            obs::write_report(std::cout, rc_cfg, report_runs);
-        } else {
-            std::ofstream out(opts.json);
-            if (!out) {
-                std::cerr << "error: cannot write --json file '" << opts.json
-                          << "'\n";
-                return 1;
-            }
-            obs::write_report(out, rc_cfg, report_runs);
-        }
+        if (write_json_report(opts, "nucaprof", report_runs) != 0)
+            return 1;
     }
     return rc;
 }
