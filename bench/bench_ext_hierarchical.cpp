@@ -7,11 +7,11 @@
  * affinity.
  */
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
+#include "common/logging.hpp"
+#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
-#include "sim/engine.hpp"
 #include "stats/table.hpp"
 
 int
@@ -32,46 +32,49 @@ main()
                                          LockKind::HboGt, LockKind::HboGtSd,
                                          LockKind::HboHier};
     const auto iters = static_cast<std::uint32_t>(scaled_iters(100, 20));
+    harness::SimRunConfig config;
+    config.topology = Topology::hierarchical(2, 4, 4);
+    config.latency = LatencyModel::cmp_cluster();
+    config.threads = 32;
 
     stats::Table table({"Lock Type", "Time (us/acq)", "Same-chip handover",
                         "Same-node handover", "Global tx/acq"});
     for (LockKind kind : kinds) {
-        SimMachine machine(Topology::hierarchical(2, 4, 4),
-                           LatencyModel::cmp_cluster());
-        AnyLock<SimContext> lock(machine, kind);
-        const MemRef data = machine.alloc_array(32, 0, 0);
+        harness::SimRun run(config);
+        AnyLock<SimContext> lock(run.machine(), kind);
+        const MemRef data = run.machine().alloc_array(32, 0, 0);
 
-        std::uint64_t acquires = 0;
         std::uint64_t same_chip = 0;
         std::uint64_t same_node = 0;
         int prev_chip = -1;
         int prev_node = -1;
 
-        machine.add_threads(32, Placement::RoundRobinNodes,
-                            [&](SimContext& ctx, int) {
-                                for (std::uint32_t i = 0; i < iters; ++i) {
-                                    lock.acquire(ctx);
-                                    if (prev_chip == ctx.chip())
-                                        ++same_chip;
-                                    else if (prev_node == ctx.node())
-                                        ++same_node;
-                                    prev_chip = ctx.chip();
-                                    prev_node = ctx.node();
-                                    ++acquires;
-                                    ctx.touch_array(data, 32, true);
-                                    lock.release(ctx);
-                                    ctx.delay(2000);
-                                }
-                            });
-        machine.run();
+        run.add_threads([&](SimContext& ctx, int) {
+            for (std::uint32_t i = 0; i < iters; ++i) {
+                lock.acquire(ctx);
+                run.enter(ctx);
+                if (prev_chip == ctx.chip())
+                    ++same_chip;
+                else if (prev_node == ctx.node())
+                    ++same_node;
+                prev_chip = ctx.chip();
+                prev_node = ctx.node();
+                ctx.touch_array(data, 32, true);
+                ctx.cs_exit();
+                lock.release(ctx);
+                ctx.delay(2000);
+            }
+        });
+        const harness::BenchResult r = run.finish();
+        NUCA_ASSERT(r.total_acquires == run.checker().acquisitions());
 
-        const auto acq = static_cast<double>(acquires);
+        const auto acq = static_cast<double>(r.total_acquires);
         table.row()
             .cell(lock_name(kind))
-            .cell(static_cast<double>(machine.now()) / acq / 1000.0, 2)
+            .cell(static_cast<double>(r.total_time) / acq / 1000.0, 2)
             .cell(static_cast<double>(same_chip) / acq, 3)
             .cell(static_cast<double>(same_node) / acq, 3)
-            .cell(static_cast<double>(machine.traffic().global_tx) / acq, 1);
+            .cell(static_cast<double>(r.traffic.global_tx) / acq, 1);
     }
     table.print(std::cout);
     return 0;

@@ -3,21 +3,11 @@
  * Tracked simulator-throughput benchmark: how fast the discrete-event
  * engine itself runs on this host, independent of any paper figure.
  *
- * Three probes on the 2-node 28-cpu WildFire:
- *
- *  - TATAS  — spin-heavy: dominated by memory-event processing and the
- *             run_timed() ready queue (the hot paths of the engine
- *             overhaul),
- *  - MCS    — queue lock: dominated by watcher wakeups and fiber context
- *             switches,
- *  - SWEEP  — the Figure 5 lock x critical-work grid fanned out over
- *             exec::Executor (--jobs=N / NUCALOCK_JOBS), the shape the
- *             host-parallel executor exists for.
- *
- * Plus the big-topology scaling table (--shape=NxC[,NxC...], default
+ * The big-topology scaling table (--shape=NxC[,NxC...], default
  * 2x14,4x32,16x64,64x16): one MCS run per shape with equal total work,
  * tracking whether per-event cost stays flat as simulated CPUs go
- * 28 -> 1024 (docs/performance.md, "big-topology engine").
+ * 28 -> 1024 (docs/performance.md, "big-topology engine"). The Figure 5
+ * grid's throughput is perfbench's fig5_sweep workload.
  *
  * Reported metrics are simulated memory operations and fiber switches per
  * host second. The simulated results stay bit-identical run to run (the
@@ -28,13 +18,11 @@
  * the report).
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
 
 #include "bench_common.hpp"
-#include "exec/executor.hpp"
 #include "harness/newbench.hpp"
 #include "harness/options.hpp"
 #include "stats/table.hpp"
@@ -45,8 +33,6 @@ using namespace nucalock;
 using namespace nucalock::harness;
 using namespace nucalock::locks;
 
-using Clock = std::chrono::steady_clock;
-
 /** One throughput measurement: the (deterministic) simulated result plus
  *  the (host-dependent) wall-clock rates. */
 struct Measured
@@ -56,13 +42,11 @@ struct Measured
 };
 
 obs::HostStats
-rates_of(const BenchResult& result, Clock::duration elapsed, int jobs)
+rates_of(const BenchResult& result, double wall_ns)
 {
     obs::HostStats host;
     host.valid = true;
-    host.wall_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count());
+    host.wall_ns = wall_ns;
     const double secs = host.wall_ns / 1e9;
     if (secs > 0.0) {
         host.events_per_sec =
@@ -70,31 +54,8 @@ rates_of(const BenchResult& result, Clock::duration elapsed, int jobs)
         host.switches_per_sec =
             static_cast<double>(result.sim_fiber_switches) / secs;
     }
-    host.jobs = jobs;
+    host.jobs = 1;
     return host;
-}
-
-NewBenchConfig
-base_config(std::uint32_t critical_work, std::uint32_t iters)
-{
-    NewBenchConfig config;
-    config.threads = 28;
-    config.critical_work = critical_work;
-    config.iterations_per_thread = iters;
-    return config;
-}
-
-/** Single sequential engine run — the "is the engine itself fast" probe. */
-Measured
-measure_single(LockKind kind, std::uint32_t critical_work,
-               std::uint32_t iters)
-{
-    const NewBenchConfig config = base_config(critical_work, iters);
-    const Clock::time_point t0 = Clock::now();
-    Measured m;
-    m.result = run_newbench(kind, config);
-    m.host = rates_of(m.result, Clock::now() - t0, 1);
-    return m;
 }
 
 /**
@@ -161,52 +122,7 @@ measure_scale(const ShapeSpec& shape, std::uint32_t iters)
             best_ns = std::min(best_ns, result.host_run_ns);
         }
     }
-    m.host = rates_of(
-        m.result,
-        std::chrono::nanoseconds(static_cast<std::int64_t>(best_ns)), 1);
-    return m;
-}
-
-/** The Figure 5 grid through the executor — the "does --jobs scale" probe.
- *  The aggregate result sums the per-run engine counters; the hash chains
- *  the per-run hashes in grid order so drift in any cell shows up. */
-Measured
-measure_sweep(std::uint32_t iters, int jobs)
-{
-    const std::vector<LockKind> kinds = paper_lock_kinds();
-    const std::vector<std::uint32_t> critical_work = {0,    250,  500, 1000,
-                                                      1500, 2000, 2500};
-    const std::size_t ncw = critical_work.size();
-
-    exec::Executor executor(jobs);
-    const Clock::time_point t0 = Clock::now();
-    const std::vector<BenchResult> results =
-        executor.map<BenchResult>(kinds.size() * ncw, [&](std::size_t idx) {
-            return run_newbench(
-                kinds[idx / ncw],
-                base_config(critical_work[idx % ncw], iters));
-        });
-    const Clock::duration elapsed = Clock::now() - t0;
-
-    Measured m;
-    std::uint64_t hash = 1469598103934665603ULL; // FNV-1a offset basis
-    for (const BenchResult& r : results) {
-        m.result.total_time += r.total_time;
-        m.result.total_acquires += r.total_acquires;
-        m.result.sim_memory_accesses += r.sim_memory_accesses;
-        m.result.sim_fiber_switches += r.sim_fiber_switches;
-        for (int shift = 0; shift < 64; shift += 8) {
-            hash ^= (r.acquisition_order_hash >> shift) & 0xffu;
-            hash *= 1099511628211ULL;
-        }
-    }
-    m.result.acquisition_order_hash = hash;
-    m.result.avg_iteration_ns =
-        m.result.total_acquires == 0
-            ? 0.0
-            : static_cast<double>(m.result.total_time) /
-                  static_cast<double>(m.result.total_acquires);
-    m.host = rates_of(m.result, elapsed, executor.jobs());
+    m.host = rates_of(m.result, best_ns);
     return m;
 }
 
@@ -215,7 +131,6 @@ print_row(stats::Table& table, const std::string& name, const Measured& m)
 {
     table.row()
         .cell(name)
-        .cell(m.host.jobs)
         .cell(m.host.wall_ns / 1e6, 1)
         .cell(m.host.events_per_sec / 1e6, 2)
         .cell(m.host.switches_per_sec / 1e6, 3)
@@ -264,40 +179,29 @@ main(int argc, char** argv)
 {
     bench::banner(
         "Simulator throughput",
-        "Engine events and fiber switches per host second. TATAS/MCS run\n"
-        "sequentially on the 2-node 28-cpu WildFire and track the engine\n"
-        "hot paths; SWEEP fans the Figure 5 grid out over --jobs host\n"
-        "threads (default: NUCALOCK_JOBS, else hardware concurrency); the\n"
-        "SCALE rows run MCS with equal total work at each\n"
-        "--shape=NxC[,NxC...] (default 2x14,4x32,16x64,64x16) — flat-to-\n"
-        "rising Mevents/s down the rows is the big-topology engine's\n"
-        "success metric. Hashes are bit-identical at every --jobs level.");
+        "Engine events and fiber switches per host second. The SCALE rows\n"
+        "run MCS with equal total work at each --shape=NxC[,NxC...]\n"
+        "(default 2x14,4x32,16x64,64x16) — flat-to-rising Mevents/s down\n"
+        "the rows is the big-topology engine's success metric. Hashes are\n"
+        "bit-identical run to run.");
 
-    const auto iters = static_cast<std::uint32_t>(scaled_iters(60, 10));
     const auto scale_iters = static_cast<std::uint32_t>(scaled_iters(20, 4));
-    const int jobs = bench::bench_jobs(argc, argv);
     const std::vector<ShapeSpec> shapes = scale_shapes(argc, argv);
-
-    // TATAS at cw=0 maximizes spinning (ready-queue + memory-event load);
-    // MCS at cw=1500 maximizes blocking handovers (watcher + switch load).
-    const Measured tatas = measure_single(LockKind::Tatas, 0, iters);
-    const Measured mcs = measure_single(LockKind::Mcs, 1500, iters);
-    const Measured sweep = measure_sweep(iters, jobs);
     std::vector<Measured> scaled;
     scaled.reserve(shapes.size());
     for (const ShapeSpec& shape : shapes)
         scaled.push_back(measure_scale(shape, scale_iters));
 
-    stats::Table table({"Shape", "jobs", "wall ms", "Mevents/s",
-                        "Mswitches/s", "acq hash"});
-    print_row(table, "TATAS cw=0", tatas);
-    print_row(table, "MCS cw=1500", mcs);
-    print_row(table, "SWEEP fig5", sweep);
+    stats::Table table(
+        {"Shape", "wall ms", "Mevents/s", "Mswitches/s", "acq hash"});
+    std::vector<obs::ReportRun> runs;
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         const std::string name = "SCALE " + std::to_string(shapes[i].nodes) +
                                  "x" +
                                  std::to_string(shapes[i].cpus_per_node);
         print_row(table, name, scaled[i]);
+        runs.push_back(obs::ReportRun{name, scaled[i].result, nullptr});
+        runs.back().host = scaled[i].host;
     }
     table.print(std::cout);
 
@@ -309,22 +213,8 @@ main(int argc, char** argv)
     rc.threads = 28;
     rc.critical_work = 1500;
     rc.private_work = 4000;
-    rc.iterations = iters;
+    rc.iterations = scale_iters;
     rc.seed = 1;
-    std::vector<obs::ReportRun> runs;
-    runs.push_back(obs::ReportRun{"TATAS", tatas.result, nullptr});
-    runs.back().host = tatas.host;
-    runs.push_back(obs::ReportRun{"MCS", mcs.result, nullptr});
-    runs.back().host = mcs.host;
-    runs.push_back(obs::ReportRun{"SWEEP", sweep.result, nullptr});
-    runs.back().host = sweep.host;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-        const std::string name = "SCALE " + std::to_string(shapes[i].nodes) +
-                                 "x" +
-                                 std::to_string(shapes[i].cpus_per_node);
-        runs.push_back(obs::ReportRun{name, scaled[i].result, nullptr});
-        runs.back().host = scaled[i].host;
-    }
     bench::maybe_write_json(rc, runs);
     return 0;
 }

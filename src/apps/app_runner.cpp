@@ -14,20 +14,14 @@ using locks::AnyLock;
 using locks::LockKind;
 using sim::MemRef;
 using sim::SimContext;
-using sim::SimMachine;
 
 namespace {
 
 AppOutcome
 run_generic_once(const AppWorkload& app, LockKind kind, const AppRunConfig& config)
 {
-    sim::SimConfig sim_cfg;
-    sim_cfg.seed = config.seed;
-    sim_cfg.preemption = config.preemption;
-    sim_cfg.preempt_mean_interval = config.preempt_mean_interval;
-    sim_cfg.preempt_duration = config.preempt_duration;
-    SimMachine machine(config.topology, config.latency, sim_cfg);
-
+    harness::SimRun run(config);
+    sim::SimMachine& machine = run.machine();
     const int nodes = config.topology.num_nodes();
     const int threads = config.threads;
 
@@ -59,7 +53,7 @@ run_generic_once(const AppWorkload& app, LockKind kind, const AppRunConfig& conf
 
     std::uint64_t lock_calls = 0; // guarded by whichever lock is held
 
-    machine.add_threads(threads, config.placement, [&](SimContext& ctx, int) {
+    run.add_threads([&](SimContext& ctx, int) {
         bool sense = false;
         for (int phase = 0; phase < phases; ++phase) {
             for (std::uint64_t c = 0; c < calls_per_phase; ++c) {
@@ -76,13 +70,8 @@ run_generic_once(const AppWorkload& app, LockKind kind, const AppRunConfig& conf
             barrier.wait(ctx, &sense);
         }
     });
-    machine.run();
-
-    AppOutcome outcome;
-    outcome.time = machine.now();
-    outcome.traffic = machine.traffic();
-    outcome.lock_calls = lock_calls;
-    return outcome;
+    const harness::BenchResult result = run.finish();
+    return AppOutcome{result.total_time, result.traffic, lock_calls};
 }
 
 } // namespace
@@ -94,19 +83,10 @@ run_app_once(const AppWorkload& app, LockKind kind, const AppRunConfig& config)
         return run_generic_once(app, kind, config);
 
     RaytraceConfig rt;
-    rt.topology = config.topology;
-    rt.latency = config.latency;
-    rt.params = config.params;
-    rt.threads = config.threads;
-    rt.placement = config.placement;
+    static_cast<harness::SimRunConfig&>(rt) = config;
     // Two lock calls per task (queue pop + statistics update).
     rt.total_tasks = static_cast<std::uint32_t>(
         static_cast<double>(app.lock_calls) * config.call_scale / 2.0);
-    rt.task_work_iters = config.raytrace_task_work;
-    rt.seed = config.seed;
-    rt.preemption = config.preemption;
-    rt.preempt_mean_interval = config.preempt_mean_interval;
-    rt.preempt_duration = config.preempt_duration;
     return run_raytrace_once(kind, rt);
 }
 

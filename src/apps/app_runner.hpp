@@ -12,27 +12,15 @@
 
 #include "apps/raytrace.hpp"
 #include "apps/workload.hpp"
+#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
-#include "sim/engine.hpp"
-#include "topology/mapping.hpp"
 
 namespace nucalock::apps {
 
-struct AppRunConfig
+struct AppRunConfig : harness::SimRunConfig
 {
-    Topology topology = Topology::wildfire();
-    sim::LatencyModel latency = sim::LatencyModel::wildfire();
-    locks::LockParams params;
-    int threads = 28;
-    Placement placement = Placement::RoundRobinNodes;
     /** Fraction of the paper's Table 3 lock-call volume to execute. */
     double call_scale = 0.05;
-    std::uint64_t seed = 1;
-    bool preemption = false;
-    sim::SimTime preempt_mean_interval = 40'000'000;
-    sim::SimTime preempt_duration = 10'000'000;
-    /** Raytrace model: compute per ray task (delay iterations). */
-    std::uint32_t raytrace_task_work = 12'000;
 };
 
 /** Mean/variance aggregate over repeated seeded runs (paper table format). */

@@ -11,7 +11,6 @@ namespace nucalock::apps {
 
 using locks::LockKind;
 using sim::SimContext;
-using sim::SimMachine;
 
 KvOutcome
 run_kv_service(LockKind kind, const KvServiceConfig& config)
@@ -21,12 +20,7 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
     NUCA_ASSERT(config.read_pct >= 0 && config.write_pct >= 0 &&
                 config.read_pct + config.write_pct <= 100);
 
-    sim::SimConfig sim_cfg;
-    sim_cfg.seed = config.seed;
-    SimMachine machine(config.topology, config.latency, sim_cfg);
-    machine.install_probe(config.probe);
-    if (config.contention_bin_ns != 0)
-        machine.memory().enable_contention_series(config.contention_bin_ns);
+    harness::SimRun run(config);
 
     typename structs::StripedMap<SimContext>::Config map_cfg;
     map_cfg.stripes = static_cast<std::size_t>(config.stripes);
@@ -34,25 +28,21 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
         std::max<std::uint64_t>(1, config.buckets_per_stripe));
     map_cfg.value_lines = config.value_lines;
     map_cfg.params = config.params;
-    structs::StripedMap<SimContext> map(machine, kind, map_cfg);
+    structs::StripedMap<SimContext> map(run.machine(), kind, map_cfg);
 
     const ZipfSampler zipf(static_cast<std::size_t>(config.keys),
                            config.zipf_skew);
     const int threads = config.threads;
-    harness::SenseBarrier<SimContext> barrier(machine, threads);
+    harness::SenseBarrier<SimContext> barrier(run.machine(), threads);
 
     // Host-side service bookkeeping. Mutated only inside simulated-thread
     // host code, which the engine serializes deterministically.
     structs::KvStructsStats kv;
-    std::uint64_t ops_total = 0;
-    // FNV-1a over the sequence of (thread id, op class) completions: the
-    // probe-independent fingerprint of the service schedule (BenchResult).
-    std::uint64_t order_hash = 0xcbf29ce484222325ULL;
+    // The order hash runs over the sequence of (thread id, op class)
+    // completions: the probe-independent fingerprint of the service
+    // schedule (BenchResult). Each completion is one service op.
     const auto note_op = [&](SimContext& ctx, std::uint64_t op_class) {
-        ++ops_total;
-        order_hash ^=
-            static_cast<std::uint64_t>(ctx.thread_id()) * 8 + op_class;
-        order_hash *= 0x100000001b3ULL;
+        run.note(static_cast<std::uint64_t>(ctx.thread_id()) * 8 + op_class);
     };
 
     const int storms = std::max(0, config.resize_storms);
@@ -60,7 +50,7 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
         1, config.ops_per_thread / static_cast<std::uint64_t>(storms + 1));
     const std::uint64_t threads_u = static_cast<std::uint64_t>(threads);
 
-    machine.add_threads(threads, config.placement, [&](SimContext& ctx, int) {
+    run.add_threads([&](SimContext& ctx, int) {
         const auto tid = static_cast<std::uint64_t>(ctx.thread_id());
         bool sense = false;
 
@@ -122,18 +112,10 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
             barrier.wait(ctx, &sense);
         }
     });
-    machine.run();
-
-    map.collect(kv);
-
     KvOutcome outcome;
+    outcome.bench = run.finish();
+    map.collect(kv);
     outcome.structs = kv;
-    harness::BenchResult& result = outcome.bench;
-    result.total_time = machine.now();
-    result.total_acquires = ops_total;
-    if (ops_total != 0)
-        result.avg_iteration_ns = static_cast<double>(machine.now()) /
-                                  static_cast<double>(ops_total);
     // Custody-level handoff ratio over every stripe lock acquisition.
     std::uint64_t remote = 0;
     std::uint64_t stripe_acquires = 0;
@@ -142,21 +124,8 @@ run_kv_service(LockKind kind, const KvServiceConfig& config)
         stripe_acquires += s.acquisitions;
     }
     if (stripe_acquires != 0)
-        result.node_handoff_ratio = static_cast<double>(remote) /
-                                    static_cast<double>(stripe_acquires);
-    result.traffic = machine.traffic();
-    result.traffic_attribution = machine.traffic_attribution();
-    result.contention = machine.contention();
-    result.finish_times.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-        result.finish_times.push_back(machine.finish_time(t));
-    result.fairness_spread_pct = harness::fairness_spread_pct(result.finish_times);
-    result.acquisition_order_hash = order_hash;
-    result.sim_memory_accesses = machine.memory().num_accesses();
-    result.sim_fiber_switches = machine.fiber_switches();
-    result.sim_run_ahead_picks = machine.run_ahead_picks();
-    result.sim_lazy_picks = machine.lazy_picks();
-    result.sim_replayed_picks = machine.replayed_picks();
+        outcome.bench.node_handoff_ratio =
+            static_cast<double>(remote) / static_cast<double>(stripe_acquires);
     return outcome;
 }
 

@@ -23,22 +23,14 @@
 #include <cstdint>
 
 #include "harness/results.hpp"
+#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
-#include "obs/probe.hpp"
-#include "sim/engine.hpp"
 #include "structs/stats.hpp"
-#include "topology/mapping.hpp"
 
 namespace nucalock::apps {
 
-struct KvServiceConfig
+struct KvServiceConfig : harness::SimRunConfig
 {
-    Topology topology = Topology::wildfire();
-    sim::LatencyModel latency = sim::LatencyModel::wildfire();
-    locks::LockParams params;
-    int threads = 28;
-    Placement placement = Placement::RoundRobinNodes;
-
     /** Preloaded key population; Zipf rank r is key id r. */
     std::uint64_t keys = 4096;
     /** Map shards, each with its own lock (homed round-robin). */
@@ -62,11 +54,6 @@ struct KvServiceConfig
     int resize_storms = 1;
     /** Fresh keys each thread inserts per storm burst. */
     std::uint64_t storm_inserts_per_thread = 64;
-
-    std::uint64_t seed = 1;
-    obs::ProbeSink* probe = nullptr;
-    /** Nonzero: record time-binned contention series (sim/resource.hpp). */
-    sim::SimTime contention_bin_ns = 0;
 };
 
 /** One KV-service run: the harness-shaped result plus structs telemetry. */

@@ -12,11 +12,9 @@
 
 #include <cstdint>
 
+#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
-#include "locks/params.hpp"
-#include "sim/engine.hpp"
 #include "sim/traffic.hpp"
-#include "topology/mapping.hpp"
 
 namespace nucalock::apps {
 
@@ -28,26 +26,12 @@ struct AppOutcome
     std::uint64_t lock_calls = 0;
 };
 
-struct RaytraceConfig
+struct RaytraceConfig : harness::SimRunConfig
 {
-    Topology topology = Topology::wildfire();
-    sim::LatencyModel latency = sim::LatencyModel::wildfire();
-    locks::LockParams params;
-    int threads = 28;
-    Placement placement = Placement::RoundRobinNodes;
     /** Total ray tasks across all threads. */
     std::uint32_t total_tasks = 9000;
     /** Compute per task, in delay iterations (+/-50% jitter). */
     std::uint32_t task_work_iters = 12'000;
-    /** Hot statistics locks (paper: "some global variables"). */
-    int stats_locks = 2;
-    /** Ints modified per statistics update. */
-    std::uint32_t stats_ints = 64;
-    std::uint64_t seed = 1;
-    /** OS-preemption injection (the 30-cpu multiprogrammed runs). */
-    bool preemption = false;
-    sim::SimTime preempt_mean_interval = 40'000'000;
-    sim::SimTime preempt_duration = 10'000'000;
 };
 
 /** Run the Raytrace model once with @p kind for every lock in the app. */

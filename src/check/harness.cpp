@@ -5,10 +5,8 @@
 
 #include "check/broken.hpp"
 #include "common/logging.hpp"
+#include "harness/sim_run.hpp"
 #include "locks/instrumented.hpp" // detail::lock_clock_ns
-#include "sim/engine.hpp"
-#include "sim/faults.hpp"
-#include "sim/invariants.hpp"
 
 namespace nucalock::check {
 
@@ -22,10 +20,30 @@ run_one(const CheckSetup& setup, sim::Scheduler& scheduler)
     NUCA_ASSERT(setup.nodes > 0 && setup.cpus_per_node > 0);
     NUCA_ASSERT(setup.iterations > 0);
 
-    sim::SimConfig cfg;
-    cfg.seed = setup.seed;
-    SimMachine machine(Topology::symmetric(setup.nodes, setup.cpus_per_node),
-                       sim::LatencyModel::wildfire(), cfg);
+    // Fault injection: the plan derives deterministically from the spec,
+    // seed and thread count, so a trace carrying the spec replays the same
+    // disturbances. Death events bound how many counter updates may be lost
+    // (a thread killed between cs_enter and its store loses exactly one).
+    harness::SimRunConfig config;
+    config.topology = Topology::symmetric(setup.nodes, setup.cpus_per_node);
+    config.threads = threads_of(setup);
+    config.seed = setup.seed;
+    config.probe = setup.probe;
+    std::uint64_t deaths = 0;
+    if (!setup.faults.empty()) {
+        auto plan = sim::FaultPlan::parse(setup.faults, setup.seed,
+                                          threads_of(setup));
+        NUCA_ASSERT(plan.has_value(),
+                    "unknown fault spec (validate via setup_from_trace)");
+        for (const sim::FaultEvent& e : plan->events)
+            if (e.kind == sim::FaultKind::ThreadDeath ||
+                e.kind == sim::FaultKind::HolderDeath)
+                ++deaths;
+        config.fault_plan = std::move(*plan);
+    }
+    RecordingScheduler recorder(scheduler);
+    harness::SimRun run(config, &recorder);
+    SimMachine& machine = run.machine();
 
     // Either the real algorithm or the planted-bug variant, behind the same
     // three calls the workload makes.
@@ -73,80 +91,51 @@ run_one(const CheckSetup& setup, sim::Scheduler& scheduler)
         release = [&](SimContext& ctx) { real->release(ctx); };
     }
 
-    sim::InvariantChecker checker;
-    machine.install_invariants(&checker);
-    RecordingScheduler recorder(scheduler);
-    machine.install_scheduler(&recorder);
-
-    // Fault injection: the plan derives deterministically from the spec,
-    // seed and thread count, so a trace carrying the spec replays the same
-    // disturbances. Death events bound how many counter updates may be lost
-    // (a thread killed between cs_enter and its store loses exactly one).
-    std::optional<sim::FaultInjector> injector;
-    std::uint64_t deaths = 0;
-    if (!setup.faults.empty()) {
-        auto plan = sim::FaultPlan::parse(setup.faults, setup.seed,
-                                          threads_of(setup));
-        NUCA_ASSERT(plan.has_value(),
-                    "unknown fault spec (validate via setup_from_trace)");
-        for (const sim::FaultEvent& e : plan->events)
-            if (e.kind == sim::FaultKind::ThreadDeath ||
-                e.kind == sim::FaultKind::HolderDeath)
-                ++deaths;
-        injector.emplace(std::move(*plan));
-        machine.install_faults(&*injector);
-    }
-    if (setup.probe != nullptr)
-        machine.install_probe(setup.probe);
-
     const sim::MemRef counter = machine.alloc(0, 0);
     std::uint64_t timeouts = 0;
     std::uint64_t max_overshoot = 0;
 
-    machine.add_threads(
-        threads_of(setup), Placement::RoundRobinNodes,
-        [&](SimContext& ctx, int) {
-            for (std::uint32_t i = 0; i < setup.iterations; ++i) {
-                ctx.cs_wait_begin();
-                const std::uint64_t t0 =
-                    setup.bounded ? locks::detail::lock_clock_ns(ctx) : 0;
-                if (!acquire_ok(ctx)) {
-                    // Abandonment-latency audit: a failed acquire_for must
-                    // return close to its deadline; the excess is the
-                    // lock's documented recovery overshoot.
-                    const std::uint64_t taken =
-                        locks::detail::lock_clock_ns(ctx) - t0;
-                    if (taken > setup.timeout_ns)
-                        max_overshoot =
-                            std::max(max_overshoot, taken - setup.timeout_ns);
-                    ctx.cs_wait_abort();
-                    ++timeouts;
-                    continue;
-                }
-                ctx.cs_enter();
-                const std::uint64_t v = ctx.load(counter);
-                ctx.store(counter, v + 1);
-                ctx.cs_exit();
-                release(ctx);
+    run.add_threads([&](SimContext& ctx, int) {
+        for (std::uint32_t i = 0; i < setup.iterations; ++i) {
+            ctx.cs_wait_begin();
+            const std::uint64_t t0 =
+                setup.bounded ? locks::detail::lock_clock_ns(ctx) : 0;
+            if (!acquire_ok(ctx)) {
+                // Abandonment-latency audit: a failed acquire_for must
+                // return close to its deadline; the excess is the lock's
+                // documented recovery overshoot.
+                const std::uint64_t taken =
+                    locks::detail::lock_clock_ns(ctx) - t0;
+                if (taken > setup.timeout_ns)
+                    max_overshoot =
+                        std::max(max_overshoot, taken - setup.timeout_ns);
+                ctx.cs_wait_abort();
+                ++timeouts;
+                continue;
             }
-        });
-    machine.run();
+            run.enter(ctx);
+            const std::uint64_t v = ctx.load(counter);
+            ctx.store(counter, v + 1);
+            ctx.cs_exit();
+            release(ctx);
+        }
+    });
+    const harness::BenchResult result = run.finish();
+    const sim::InvariantChecker& checker = run.checker();
 
     RunReport report;
     report.stop = machine.stop_reason();
     report.steps = machine.sched_steps();
     report.schedule = recorder.taken();
     report.acquisitions = checker.acquisitions();
-    report.mutex_violations = checker.mutual_exclusion_violations();
+    report.mutex_violations = result.mutex_violations;
     report.max_bypasses = checker.max_bypasses();
     report.max_node_streak = checker.max_node_streak();
     report.counter = machine.memory().peek(counter);
     report.timeouts = timeouts;
     report.max_overshoot_ns = max_overshoot;
-    if (injector) {
-        report.faults_injected = injector->injected();
-        report.fault_log = injector->log();
-    }
+    report.faults_injected = result.faults_injected;
+    report.fault_log = result.fault_log;
     if (real)
         report.abandon = real->abandon_stats();
 

@@ -6,7 +6,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "exec/executor.hpp"
-#include "sim/engine.hpp"
+#include "harness/sim_run.hpp"
 #include "structs/striped_map.hpp"
 
 namespace nucalock::check {
@@ -52,11 +52,12 @@ run_structs_one(const StructsCheckSetup& setup, sim::Scheduler& scheduler)
     NUCA_ASSERT(setup.nodes > 0 && setup.cpus_per_node > 0);
     NUCA_ASSERT(setup.puts_per_thread > 0);
 
-    sim::SimConfig cfg;
-    cfg.seed = setup.seed;
-    SimMachine machine(Topology::symmetric(setup.nodes, setup.cpus_per_node),
-                       sim::LatencyModel::wildfire(), cfg);
-    machine.install_scheduler(&scheduler);
+    harness::SimRunConfig config;
+    config.topology = Topology::symmetric(setup.nodes, setup.cpus_per_node);
+    config.threads = threads_of(setup);
+    config.seed = setup.seed;
+    harness::SimRun run(config, &scheduler);
+    SimMachine& machine = run.machine();
 
     typename structs::StripedMap<SimContext>::Config map_cfg;
     map_cfg.stripes = static_cast<std::size_t>(setup.stripes);
@@ -66,26 +67,24 @@ run_structs_one(const StructsCheckSetup& setup, sim::Scheduler& scheduler)
     map_cfg.plant_skip_lock = setup.unsynchronized;
     structs::StripedMap<SimContext> map(machine, setup.kind, map_cfg);
 
-    const int threads = threads_of(setup);
     const std::uint32_t per_thread = setup.puts_per_thread;
     std::uint64_t inserts = 0;
     std::uint64_t missing = 0;
 
-    machine.add_threads(
-        threads, Placement::RoundRobinNodes, [&](SimContext& ctx, int) {
-            const auto tid = static_cast<std::uint64_t>(ctx.thread_id());
-            const std::uint64_t base = tid * 1'000'000;
-            for (std::uint32_t j = 0; j < per_thread; ++j) {
-                if (map.put(ctx, base + j, tid))
-                    ++inserts;
-            }
-            // Read-back under whatever resize epochs other threads are
-            // provoking: our own keys must all be present.
-            for (std::uint32_t j = 0; j < per_thread; ++j)
-                if (!map.get(ctx, base + j).has_value())
-                    ++missing;
-        });
-    machine.run();
+    run.add_threads([&](SimContext& ctx, int) {
+        const auto tid = static_cast<std::uint64_t>(ctx.thread_id());
+        const std::uint64_t base = tid * 1'000'000;
+        for (std::uint32_t j = 0; j < per_thread; ++j) {
+            if (map.put(ctx, base + j, tid))
+                ++inserts;
+        }
+        // Read-back under whatever resize epochs other threads are
+        // provoking: our own keys must all be present.
+        for (std::uint32_t j = 0; j < per_thread; ++j)
+            if (!map.get(ctx, base + j).has_value())
+                ++missing;
+    });
+    run.finish();
 
     StructsRunReport report;
     report.stop = machine.stop_reason();
@@ -106,7 +105,7 @@ run_structs_one(const StructsCheckSetup& setup, sim::Scheduler& scheduler)
         report.what = "livelock: simulated time limit exceeded";
     } else if (report.stop == sim::StopReason::Completed) {
         const auto expected =
-            static_cast<std::uint64_t>(threads) * per_thread;
+            static_cast<std::uint64_t>(config.threads) * per_thread;
         if (report.missing_keys != 0) {
             report.failed = true;
             report.what = "missing keys: " +

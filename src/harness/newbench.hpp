@@ -12,73 +12,25 @@
 #include <cstdint>
 
 #include "harness/results.hpp"
+#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
-#include "locks/params.hpp"
-#include "obs/probe.hpp"
-#include "sim/engine.hpp"
-#include "sim/faults.hpp"
-#include "sim/invariants.hpp"
-#include "sim/trace.hpp"
-#include "topology/mapping.hpp"
 
 namespace nucalock::harness {
 
-struct NewBenchConfig
+struct NewBenchConfig : SimRunConfig
 {
-    Topology topology = Topology::wildfire();
-    sim::LatencyModel latency = sim::LatencyModel::wildfire();
-    locks::LockParams params;
-    int threads = 28;
-    Placement placement = Placement::RoundRobinNodes;
     std::uint32_t iterations_per_thread = 60;
     /** Shared-vector elements (4-byte ints) modified in the CS. */
     std::uint32_t critical_work = 1500;
     /** Static noncritical delay, in empty loop iterations; a random delay
      *  in [0, private_work) is added on top (Fig 4 lines 12-17). */
     std::uint32_t private_work = 4000;
-    /** Ints per cache line: 64-byte lines of 4-byte ints. */
-    std::uint32_t ints_per_line = 16;
-    std::uint64_t seed = 1;
-    /** Use preemption injection (Table 4's 30-cpu multiprogramming runs). */
-    bool preemption = false;
-    sim::SimTime preempt_mean_interval = 40'000'000;
-    sim::SimTime preempt_duration = 10'000'000;
-
-    /** Deterministic fault plan executed against the run (sim/faults.hpp). */
-    sim::FaultPlan fault_plan;
-    /** Invariant-checker progress watchdog window; 0 = disabled. */
-    sim::SimTime watchdog_window_ns = 0;
-    /** Fairness window for the checker's bypass accounting; 0 = record only. */
-    std::uint64_t fairness_window = 0;
     /**
      * Bounded-wait timeout survivors use when the plan kills threads; a
      * thread whose acquire_for() times out stops iterating (the lock was
      * abandoned), keeping the run terminating instead of deadlocking.
      */
     sim::SimTime recovery_timeout_ns = 20'000'000;
-
-    /**
-     * Lock-event probe sink installed on the machine for the run (see
-     * src/obs/). Non-owning; nullptr = observability off. Installing a
-     * sink must not change the simulated run — the result's
-     * acquisition_order_hash is bit-identical either way.
-     */
-    obs::ProbeSink* probe = nullptr;
-
-    /**
-     * Bin width for the time-binned bus/link utilisation series
-     * (SimMemory::enable_contention_series), landing in
-     * BenchResult::contention; 0 = occupancy totals and queue-delay
-     * histograms only (always collected).
-     */
-    sim::SimTime contention_bin_ns = 0;
-
-    /**
-     * Memory-access recorder attached for the run (sim/trace.hpp).
-     * Non-owning; nullptr = off. Event/drop counts land in
-     * BenchResult::memtrace_events / memtrace_dropped.
-     */
-    sim::TraceRecorder* memory_trace = nullptr;
 };
 
 /** Run the new microbenchmark for @p kind. */

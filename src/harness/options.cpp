@@ -146,6 +146,9 @@ cli_usage()
            "\n" +
            lock_list_usage() +
            "\n"
+           "--preemption deschedules threads at random, as a multiprogrammed\n"
+           "OS would (Table 4); new and app benches only.\n"
+           "\n"
            "--faults takes '+'-separated presets (new bench only): holder,\n"
            "publish, spinner, spike, stall, death, holderdeath, chaos,\n"
            "none. Victims and times derive deterministically from --seed.\n"
@@ -167,8 +170,8 @@ prof_usage()
            "                [--nodes=N] [--cpus-per-node=N] [--threads=N]\n"
            "                [--critical-work=INTS] [--private-work=ITERS]\n"
            "                [--iterations=N] [--nuca-ratio=R] [--seed=S]\n"
-           "                [--traffic] [--json=PATH] [--trace=PATH]\n"
-           "                [--memtrace=PATH] [--jobs=N]\n"
+           "                [--preemption] [--traffic] [--json=PATH]\n"
+           "                [--trace=PATH] [--memtrace=PATH] [--jobs=N]\n"
            "                [--app=kv] [--kv-keys=N] [--kv-stripes=N]\n"
            "                [--kv-read-pct=P] [--kv-write-pct=P]\n"
            "                [--kv-scan-len=N] [--kv-skew=S] [--kv-ops=N]\n"
@@ -393,6 +396,14 @@ parse_cli(const std::vector<std::string>& args)
         return fail("RH supports at most two nodes");
     if (opts.kv_read_pct + opts.kv_write_pct > 100)
         return fail("--kv-read-pct + --kv-write-pct must be <= 100");
+    // Preemption would drive the traditional benchmark's queue locks past
+    // max_sim_time (the paper's collapse, but as an abort that loses every
+    // other lock's row), and the uncontested probes measure one pair with
+    // no interference by design.
+    if (opts.preemption && (opts.bench == CliBench::Traditional ||
+                            opts.bench == CliBench::Uncontested))
+        return fail("--preemption is not supported with "
+                    "--bench=traditional or --bench=uncontested");
     if (!opts.faults.empty()) {
         if (opts.bench != CliBench::New)
             return fail("--faults is only supported with --bench=new");

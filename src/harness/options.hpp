@@ -41,6 +41,8 @@ struct CliOptions
     /** 0 = calibrated WildFire model; otherwise LatencyModel::scaled(). */
     double nuca_ratio = 0.0;
     std::uint64_t seed = 1;
+    /** OS-preemption injection; not valid with --bench=traditional or
+     *  --bench=uncontested. */
     bool preemption = false;
     /**
      * Fault-plan spec for sim::FaultPlan::parse(): '+'-separated presets

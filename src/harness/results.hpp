@@ -38,8 +38,8 @@ struct BenchResult
     sim::TrafficAttribution traffic_attribution;
     /**
      * Where the traffic queued: per-resource occupancy, queue-delay
-     * histograms and (when NewBenchConfig/TraditionalConfig::
-     * contention_bin_ns is set) time-binned utilisation series.
+     * histograms and (when SimRunConfig::contention_bin_ns is set)
+     * time-binned utilisation series.
      */
     sim::ContentionStats contention;
     /** Per-thread completion times (fairness study). */
@@ -103,10 +103,6 @@ struct BenchResult
     std::string fault_log;
     /** Mutual-exclusion violations observed by the invariant checker. */
     std::uint64_t mutex_violations = 0;
-    /** Worst "other threads entered while I waited" count over the run. */
-    std::uint64_t max_bypasses = 0;
-    /** Longest same-node handover streak while a remote thread waited. */
-    std::uint64_t max_node_streak = 0;
     /** Bounded-wait acquisitions that timed out (lock abandonment). */
     std::uint64_t lock_timeouts = 0;
 

@@ -11,30 +11,14 @@
 #include <cstdint>
 
 #include "harness/results.hpp"
+#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
-#include "locks/params.hpp"
-#include "obs/probe.hpp"
-#include "sim/engine.hpp"
-#include "sim/trace.hpp"
-#include "topology/mapping.hpp"
 
 namespace nucalock::harness {
 
-struct TraditionalConfig
+struct TraditionalConfig : SimRunConfig
 {
-    Topology topology = Topology::wildfire();
-    sim::LatencyModel latency = sim::LatencyModel::wildfire();
-    locks::LockParams params;
-    int threads = 28;
-    Placement placement = Placement::RoundRobinNodes;
     std::uint32_t iterations_per_thread = 200;
-    std::uint64_t seed = 1;
-    /** Lock-event probe sink (src/obs/); non-owning, nullptr = off. */
-    obs::ProbeSink* probe = nullptr;
-    /** Bin width for the contention utilisation series; 0 = totals only. */
-    sim::SimTime contention_bin_ns = 0;
-    /** Memory-access recorder (sim/trace.hpp); non-owning, nullptr = off. */
-    sim::TraceRecorder* memory_trace = nullptr;
 };
 
 /** Run the traditional microbenchmark for @p kind. */

@@ -8,57 +8,61 @@ using locks::AnyLock;
 using locks::LockKind;
 using sim::MemRef;
 using sim::SimContext;
-using sim::SimMachine;
 using sim::SimTime;
+
+namespace {
+/** Unmeasured acquire-release pairs before the measured ones. */
+constexpr std::uint32_t kWarmup = 10;
+} // namespace
 
 double
 measure_handover_ns(LockKind kind, const UncontestedConfig& config, int cpu_a,
                     int cpu_b)
 {
-    SimMachine machine(config.topology, config.latency,
-                       sim::SimConfig{.seed = config.seed});
-    AnyLock<SimContext> lock(machine, kind, config.params);
+    SimRun run(config);
+    AnyLock<SimContext> lock(run.machine(), kind, config.params);
 
     SimTime measured = 0;
     std::uint64_t counted = 0;
-    const std::uint32_t warmup = config.warmup;
-    const std::uint32_t iterations = config.iterations + warmup;
-
-    if (cpu_a == cpu_b) {
-        machine.add_thread(cpu_a, [&](SimContext& ctx) {
-            for (std::uint32_t k = 0; k < iterations; ++k) {
-                const SimTime t0 = ctx.now();
-                lock.acquire(ctx);
-                lock.release(ctx);
-                if (k >= warmup) {
-                    measured += ctx.now() - t0;
-                    ++counted;
-                }
-            }
-        });
-        machine.run();
-        return static_cast<double>(measured) / static_cast<double>(counted);
-    }
-
-    // Two threads alternating through a turn word; only the acquire-release
-    // interval is measured, not the turn handshake.
-    const MemRef turn = machine.alloc(0, 0);
-    auto worker = [&, iterations, warmup](SimContext& ctx, std::uint64_t other) {
-        for (std::uint32_t k = 0; k < iterations; ++k) {
-            ctx.spin_while_equal(turn, other); // wait for our turn
-            const SimTime t0 = ctx.now();
-            lock.acquire(ctx);
-            lock.release(ctx);
-            if (k >= warmup) {
-                measured += ctx.now() - t0;
-                ++counted;
-            }
-            ctx.store(turn, other);
+    const std::uint32_t pairs = config.iterations + kWarmup;
+    // Pair k: one acquire-release, timed once past the warmup.
+    const auto pair = [&](SimContext& ctx, std::uint32_t k) {
+        const SimTime t0 = ctx.now();
+        lock.acquire(ctx);
+        run.enter(ctx);
+        ctx.cs_exit();
+        lock.release(ctx);
+        if (k >= kWarmup) {
+            measured += ctx.now() - t0;
+            ++counted;
         }
     };
-    machine.add_thread(cpu_a, [&worker](SimContext& ctx) { worker(ctx, 1); });
-    machine.add_thread(cpu_b, [&worker](SimContext& ctx) { worker(ctx, 0); });
-    machine.run();
+
+    if (cpu_a == cpu_b) {
+        run.machine().add_thread(cpu_a, [&pair, pairs](SimContext& ctx) {
+            for (std::uint32_t k = 0; k < pairs; ++k)
+                pair(ctx, k);
+        });
+    } else {
+        // Two threads alternating through a turn word; only the
+        // acquire-release interval is measured, not the turn handshake.
+        const MemRef turn = run.machine().alloc(0, 0);
+        const auto worker = [&pair, pairs, turn](SimContext& ctx,
+                                                 std::uint64_t other) {
+            for (std::uint32_t k = 0; k < pairs; ++k) {
+                ctx.spin_while_equal(turn, other); // wait for our turn
+                pair(ctx, k);
+                ctx.store(turn, other);
+            }
+        };
+        run.machine().add_thread(cpu_a,
+                                 [worker](SimContext& ctx) { worker(ctx, 1); });
+        run.machine().add_thread(cpu_b,
+                                 [worker](SimContext& ctx) { worker(ctx, 0); });
+    }
+    const BenchResult result = run.finish();
+    NUCA_ASSERT(result.total_acquires == run.checker().acquisitions(),
+                "checker disagrees with the workload count");
     NUCA_ASSERT(counted > 0);
     return static_cast<double>(measured) / static_cast<double>(counted);
 }

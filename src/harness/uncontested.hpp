@@ -12,9 +12,8 @@
 
 #include <cstdint>
 
+#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
-#include "locks/params.hpp"
-#include "sim/engine.hpp"
 
 namespace nucalock::harness {
 
@@ -26,14 +25,11 @@ struct UncontestedResult
     double remote_node_ns = 0.0;
 };
 
-struct UncontestedConfig
+/** Measured pairs per scenario; `threads` and `placement` are unused
+ *  (each scenario places its one or two threads itself). */
+struct UncontestedConfig : SimRunConfig
 {
-    Topology topology = Topology::wildfire();
-    sim::LatencyModel latency = sim::LatencyModel::wildfire();
-    locks::LockParams params;
     std::uint32_t iterations = 1000;
-    std::uint32_t warmup = 10;
-    std::uint64_t seed = 1;
 };
 
 /** Run all three scenarios for @p kind. */

@@ -7,9 +7,11 @@
 
 #include <string>
 
+#include "apps/kv_service.hpp"
 #include "harness/fairness.hpp"
 #include "harness/newbench.hpp"
 #include "harness/sensitivity.hpp"
+#include "harness/sim_run.hpp"
 #include "harness/traditional.hpp"
 #include "harness/uncontested.hpp"
 
@@ -237,6 +239,109 @@ TEST(Sensitivity, AngryLimitConvergesToHboGt)
             EXPECT_EQ(sd.sim_fiber_switches, gt.sim_fiber_switches) << name;
         }
     }
+}
+
+// ----- SimRun: every simulated run is built and finished in one place ----
+
+enum class Runner
+{
+    NewBench,
+    Traditional,
+    KvService,
+};
+
+/** A small run of @p runner, recording into @p memtrace when given. */
+BenchResult
+run_small(Runner runner, sim::TraceRecorder* memtrace)
+{
+    switch (runner) {
+      case Runner::NewBench: {
+        NewBenchConfig config = small_newbench();
+        config.memory_trace = memtrace;
+        return run_newbench(LockKind::Mcs, config);
+      }
+      case Runner::Traditional: {
+        TraditionalConfig config = small_traditional();
+        config.memory_trace = memtrace;
+        return run_traditional(LockKind::Mcs, config);
+      }
+      case Runner::KvService: {
+        apps::KvServiceConfig config;
+        config.topology = Topology::wildfire(4);
+        config.threads = 8;
+        config.keys = 256;
+        config.ops_per_thread = 40;
+        config.storm_inserts_per_thread = 8;
+        config.memory_trace = memtrace;
+        return apps::run_kv_service(LockKind::Mcs, config).bench;
+      }
+    }
+    return {};
+}
+
+class EveryRunIsFilled : public ::testing::TestWithParam<Runner>
+{
+};
+
+TEST_P(EveryRunIsFilled, ByOneFinish)
+{
+    const BenchResult r = run_small(GetParam(), nullptr);
+    EXPECT_GT(r.total_acquires, 0u);
+    EXPECT_GT(r.host_run_ns, 0.0);
+    EXPECT_LE(r.sim_run_ahead_picks + r.sim_lazy_picks + r.sim_replayed_picks,
+              r.sim_fiber_switches);
+    EXPECT_EQ(r.mutex_violations, 0u);
+    EXPECT_EQ(r.memtrace_events, 0u);
+
+    const BenchResult again = run_small(GetParam(), nullptr);
+    EXPECT_EQ(again.acquisition_order_hash, r.acquisition_order_hash);
+    EXPECT_EQ(again.total_time, r.total_time);
+
+    sim::TraceRecorder recorder;
+    recorder.set_max_events(1000);
+    const BenchResult traced = run_small(GetParam(), &recorder);
+    EXPECT_EQ(traced.memtrace_events, 1000u);
+    EXPECT_GT(traced.memtrace_dropped, 0u);
+    EXPECT_EQ(traced.memtrace_dropped, recorder.dropped());
+    EXPECT_EQ(traced.acquisition_order_hash, r.acquisition_order_hash);
+}
+
+std::string
+runner_name(const ::testing::TestParamInfo<Runner>& param_info)
+{
+    switch (param_info.param) {
+      case Runner::NewBench:
+        return "NewBench";
+      case Runner::Traditional:
+        return "Traditional";
+      case Runner::KvService:
+        return "KvService";
+    }
+    return "Unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(Runners, EveryRunIsFilled,
+                         ::testing::Values(Runner::NewBench,
+                                           Runner::Traditional,
+                                           Runner::KvService),
+                         runner_name);
+
+TEST(SimRunDeathTest, TimedRunStopsAtTheFirstViolation)
+{
+    // No lock at all: both threads inside the marked section at once.
+    const auto unlocked = [] {
+        SimRunConfig config;
+        config.topology = Topology::symmetric(1, 2);
+        config.threads = 2;
+        SimRun run(config);
+        run.add_threads([&run](sim::SimContext& ctx, int) {
+            run.enter(ctx);
+            ctx.delay(100);
+            ctx.cs_exit();
+        });
+        run.finish();
+    };
+    EXPECT_DEATH(unlocked(), "mutual exclusion violated");
 }
 
 TEST(FairnessSpreadMetric, Formula)

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "front_end.hpp"
 #include "harness/options.hpp"
 #include "locks/any_lock.hpp"
 
@@ -34,13 +35,13 @@ TEST(Options, DefaultsWhenEmpty)
 TEST(Options, ParsesEveryKey)
 {
     const CliParse parsed = parse_cli(
-        {"--bench=traditional", "--lock=HBO_GT", "--nodes=4",
+        {"--bench=app", "--lock=HBO_GT", "--nodes=4",
          "--cpus-per-node=8", "--threads=16", "--critical-work=500",
          "--private-work=1000", "--iterations=10", "--nuca-ratio=6.5",
          "--seed=42", "--preemption", "--csv"});
     ASSERT_TRUE(parsed.options.has_value()) << parsed.error;
     const CliOptions& o = *parsed.options;
-    EXPECT_EQ(o.bench, CliBench::Traditional);
+    EXPECT_EQ(o.bench, CliBench::App);
     EXPECT_EQ(o.lock, "HBO_GT");
     EXPECT_EQ(o.nodes, 4);
     EXPECT_EQ(o.cpus_per_node, 8);
@@ -238,6 +239,43 @@ TEST(Options, KvDefaultsAndValidation)
     // parser accepts any non-empty name.
     EXPECT_TRUE(parse_cli({"--bench=app", "--app=Raytrace"})
                     .options.has_value());
+}
+
+TEST(Options, TraditionalRejectsPreemption)
+{
+    const CliParse parsed = parse_cli({"--bench=traditional", "--preemption"});
+    EXPECT_FALSE(parsed.options.has_value());
+    EXPECT_NE(parsed.error.find("--preemption"), std::string::npos)
+        << parsed.error;
+    EXPECT_TRUE(parse_cli({"--bench=traditional"}).options.has_value());
+}
+
+TEST(Options, UncontestedRejectsPreemption)
+{
+    const CliParse parsed = parse_cli({"--bench=uncontested", "--preemption"});
+    EXPECT_FALSE(parsed.options.has_value());
+    EXPECT_NE(parsed.error.find("--preemption"), std::string::npos)
+        << parsed.error;
+    EXPECT_TRUE(parse_cli({"--bench=uncontested"}).options.has_value());
+}
+
+TEST(Options, KvConfigFromPreemptionChangesTheRun)
+{
+    const std::vector<std::string> args = {"--bench=app", "--shape=2x4",
+                                           "--kv-keys=256", "--kv-ops=40"};
+    std::vector<std::string> preempted = args;
+    preempted.push_back("--preemption");
+    const auto plain = nucalock::tools::kv_config_of(*parse_cli(args).options);
+    const auto noisy =
+        nucalock::tools::kv_config_of(*parse_cli(preempted).options);
+    EXPECT_FALSE(plain.preemption);
+    EXPECT_TRUE(noisy.preemption);
+    const auto a = nucalock::apps::run_kv_service(
+        nucalock::locks::LockKind::Mcs, plain);
+    const auto b = nucalock::apps::run_kv_service(
+        nucalock::locks::LockKind::Mcs, noisy);
+    EXPECT_EQ(a.bench.total_acquires, b.bench.total_acquires);
+    EXPECT_NE(a.bench.acquisition_order_hash, b.bench.acquisition_order_hash);
 }
 
 TEST(Options, MemtraceRequiresSingleLockAndPath)

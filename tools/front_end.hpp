@@ -1,7 +1,8 @@
 /**
  * @file
  * The command-line front-end code nucabench and nucaprof share: which
- * locks a run covers, its latency model, the KV-service config, and the
+ * locks a run covers, its latency model, the run fields every workload
+ * config takes from the command line, the KV-service config, and the
  * --json report write. Header-only; both tools include it.
  */
 #ifndef NUCALOCK_TOOLS_FRONT_END_HPP
@@ -40,15 +41,28 @@ latency_of(const harness::CliOptions& opts)
                                   : sim::LatencyModel::scaled(opts.nuca_ratio);
 }
 
-/** Build the KV-service config a --bench=app --app=kv run uses. */
-inline apps::KvServiceConfig
-kv_config_of(const harness::CliOptions& opts)
+/** A workload config with the run fields every bench shares filled from
+ *  the command line: machine shape, latency model, lock parameters,
+ *  threads, seed and preemption. */
+template <typename Config>
+Config
+run_config_of(const harness::CliOptions& opts)
 {
-    apps::KvServiceConfig config;
+    Config config;
     config.topology = Topology::symmetric(opts.nodes, opts.cpus_per_node);
     config.latency = latency_of(opts);
     config.params = opts.params;
     config.threads = opts.threads;
+    config.seed = opts.seed;
+    config.preemption = opts.preemption;
+    return config;
+}
+
+/** Build the KV-service config a --bench=app --app=kv run uses. */
+inline apps::KvServiceConfig
+kv_config_of(const harness::CliOptions& opts)
+{
+    auto config = run_config_of<apps::KvServiceConfig>(opts);
     config.keys = opts.kv_keys;
     config.stripes = opts.kv_stripes;
     config.zipf_skew = opts.kv_skew;
@@ -57,7 +71,6 @@ kv_config_of(const harness::CliOptions& opts)
     config.scan_len = opts.kv_scan_len;
     config.ops_per_thread = opts.kv_ops;
     config.resize_storms = static_cast<int>(opts.kv_storms);
-    config.seed = opts.seed;
     return config;
 }
 

@@ -35,7 +35,6 @@ using namespace nucalock::tools;
 int
 run_contended(const CliOptions& opts)
 {
-    const Topology topo = Topology::symmetric(opts.nodes, opts.cpus_per_node);
     const bool faulty = !opts.faults.empty();
     std::vector<std::string> headers = {"Lock",          "ns/acquire",
                                         "handoff ratio", "local tx",
@@ -60,16 +59,10 @@ run_contended(const CliOptions& opts)
         executor.map<BenchResult>(kinds.size(), [&](std::size_t i) {
             const LockKind kind = kinds[i];
             if (opts.bench == CliBench::New) {
-                NewBenchConfig config;
-                config.topology = topo;
-                config.latency = latency_of(opts);
-                config.params = opts.params;
-                config.threads = opts.threads;
+                auto config = run_config_of<NewBenchConfig>(opts);
                 config.critical_work = opts.critical_work;
                 config.private_work = opts.private_work;
                 config.iterations_per_thread = opts.iterations;
-                config.seed = opts.seed;
-                config.preemption = opts.preemption;
                 if (faulty) {
                     // Spec already validated by parse_cli.
                     config.fault_plan = *sim::FaultPlan::parse(
@@ -77,13 +70,8 @@ run_contended(const CliOptions& opts)
                 }
                 return run_newbench(kind, config);
             }
-            TraditionalConfig config;
-            config.topology = topo;
-            config.latency = latency_of(opts);
-            config.params = opts.params;
-            config.threads = opts.threads;
+            auto config = run_config_of<TraditionalConfig>(opts);
             config.iterations_per_thread = opts.iterations;
-            config.seed = opts.seed;
             return run_traditional(kind, config);
         });
 
@@ -213,13 +201,7 @@ run_app_cli(const CliOptions& opts)
     if (opts.csv)
         csv = std::make_unique<stats::CsvWriter>(std::cout, headers);
 
-    apps::AppRunConfig config;
-    config.topology = Topology::symmetric(opts.nodes, opts.cpus_per_node);
-    config.latency = latency_of(opts);
-    config.params = opts.params;
-    config.threads = opts.threads;
-    config.seed = opts.seed;
-    config.preemption = opts.preemption;
+    const auto config = run_config_of<apps::AppRunConfig>(opts);
 
     const std::vector<LockKind> kinds = selected_locks(opts);
     exec::Executor executor(opts.jobs);
@@ -262,12 +244,8 @@ run_uncontested_cli(const CliOptions& opts)
     if (opts.csv)
         csv = std::make_unique<stats::CsvWriter>(std::cout, headers);
 
-    UncontestedConfig config;
-    config.topology = Topology::symmetric(opts.nodes, opts.cpus_per_node);
-    config.latency = latency_of(opts);
-    config.params = opts.params;
+    auto config = run_config_of<UncontestedConfig>(opts);
     config.iterations = opts.iterations;
-    config.seed = opts.seed;
 
     const std::vector<LockKind> kinds = selected_locks(opts);
     exec::Executor executor(opts.jobs);

@@ -84,48 +84,34 @@ constexpr sim::SimTime kCounterBinNs = 10'000;
 constexpr std::size_t kMemtraceCap = 1'000'000;
 
 BenchResult
-run_bench(LockKind kind, const CliOptions& opts, const Topology& topo,
-          obs::ProbeSink* probe, sim::TraceRecorder* memtrace = nullptr,
+run_bench(LockKind kind, const CliOptions& opts, obs::ProbeSink* probe,
+          sim::TraceRecorder* memtrace = nullptr,
           structs::KvStructsStats* structs_out = nullptr)
 {
-    // Record the utilisation series whenever a Perfetto trace was asked
-    // for; it is pure accounting (never perturbs the run).
-    const sim::SimTime bin = opts.trace.empty() ? 0 : kCounterBinNs;
-    if (opts.bench == CliBench::App) {
-        apps::KvServiceConfig config = kv_config_of(opts);
+    const auto observed = [&](auto config) {
         config.probe = probe;
-        config.contention_bin_ns = bin;
-        apps::KvOutcome outcome = apps::run_kv_service(kind, config);
+        // Record the utilisation series whenever a Perfetto trace was
+        // asked for; it is pure accounting (never perturbs the run).
+        config.contention_bin_ns = opts.trace.empty() ? 0 : kCounterBinNs;
+        config.memory_trace = memtrace;
+        return config;
+    };
+    if (opts.bench == CliBench::App) {
+        apps::KvOutcome outcome =
+            apps::run_kv_service(kind, observed(kv_config_of(opts)));
         if (structs_out != nullptr)
             *structs_out = outcome.structs;
         return outcome.bench;
     }
     if (opts.bench == CliBench::Traditional) {
-        TraditionalConfig config;
-        config.topology = topo;
-        config.latency = latency_of(opts);
-        config.params = opts.params;
-        config.threads = opts.threads;
+        auto config = observed(run_config_of<TraditionalConfig>(opts));
         config.iterations_per_thread = opts.iterations;
-        config.seed = opts.seed;
-        config.probe = probe;
-        config.contention_bin_ns = bin;
-        config.memory_trace = memtrace;
         return run_traditional(kind, config);
     }
-    NewBenchConfig config;
-    config.topology = topo;
-    config.latency = latency_of(opts);
-    config.params = opts.params;
-    config.threads = opts.threads;
+    auto config = observed(run_config_of<NewBenchConfig>(opts));
     config.critical_work = opts.critical_work;
     config.private_work = opts.private_work;
     config.iterations_per_thread = opts.iterations;
-    config.seed = opts.seed;
-    config.preemption = opts.preemption;
-    config.probe = probe;
-    config.contention_bin_ns = bin;
-    config.memory_trace = memtrace;
     return run_newbench(kind, config);
 }
 
@@ -460,7 +446,6 @@ main(int argc, char** argv)
         }
     }
 
-    const Topology topo = Topology::symmetric(opts.nodes, opts.cpus_per_node);
     const std::vector<LockKind> kinds = selected_locks(opts);
     const bool want_trace = !opts.trace.empty();
 
@@ -485,7 +470,7 @@ main(int argc, char** argv)
             sink.add(&timeline); // single lock: parse_cli enforced it
         if (opts.bench == CliBench::App)
             run.structs = std::make_unique<structs::KvStructsStats>();
-        run.result = run_bench(run.kind, opts, topo, &sink,
+        run.result = run_bench(run.kind, opts, &sink,
                                want_memtrace ? &memtrace : nullptr,
                                run.structs.get());
         run.metrics->finalize();
@@ -494,7 +479,7 @@ main(int argc, char** argv)
         // Observer-effect tripwire (debug builds only, doubles the work):
         // the identical run without a sink must produce the identical
         // simulated history. tests/obs_test.cpp pins the same property.
-        const BenchResult bare = run_bench(run.kind, opts, topo, nullptr);
+        const BenchResult bare = run_bench(run.kind, opts, nullptr);
         NUCA_ASSERT(bare.acquisition_order_hash ==
                         run.result.acquisition_order_hash,
                     "probes changed the acquisition order of ",
