@@ -208,12 +208,14 @@ main(int argc, char** argv)
     obs::ReportConfig rc;
     rc.tool = "bench_sim_throughput";
     rc.bench = "new";
+    // A 2x14 Figure 5 run, not the SCALE rows, which each run their own
+    // shape and iteration count (ROADMAP item 9).
     rc.nodes = 2;
     rc.cpus_per_node = 14;
     rc.threads = 28;
     rc.critical_work = 1500;
     rc.private_work = 4000;
-    rc.iterations = scale_iters;
+    rc.iterations = static_cast<std::uint32_t>(scaled_iters(60, 10));
     rc.seed = 1;
     bench::maybe_write_json(rc, runs);
     return 0;

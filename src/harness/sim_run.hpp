@@ -41,8 +41,9 @@
 
 namespace nucalock::harness {
 
-/** The settings every simulated workload shares; each workload's config
- *  derives from it and adds its own knobs. */
+/** The settings the simulated workloads share; each workload's config
+ *  derives from it and adds its own knobs. The uncontested probes place
+ *  their own one or two threads, so they build one per scenario. */
 struct SimRunConfig
 {
     Topology topology = Topology::wildfire();

@@ -1,6 +1,7 @@
 #include "harness/uncontested.hpp"
 
 #include "common/logging.hpp"
+#include "harness/sim_run.hpp"
 
 namespace nucalock::harness {
 
@@ -19,7 +20,11 @@ double
 measure_handover_ns(LockKind kind, const UncontestedConfig& config, int cpu_a,
                     int cpu_b)
 {
-    SimRun run(config);
+    SimRunConfig run_config;
+    run_config.topology = config.topology;
+    run_config.latency = config.latency;
+    run_config.seed = config.seed;
+    SimRun run(run_config);
     AnyLock<SimContext> lock(run.machine(), kind, config.params);
 
     SimTime measured = 0;

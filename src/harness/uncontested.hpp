@@ -12,8 +12,9 @@
 
 #include <cstdint>
 
-#include "harness/sim_run.hpp"
 #include "locks/any_lock.hpp"
+#include "locks/params.hpp"
+#include "sim/engine.hpp"
 
 namespace nucalock::harness {
 
@@ -25,11 +26,16 @@ struct UncontestedResult
     double remote_node_ns = 0.0;
 };
 
-/** Measured pairs per scenario; `threads` and `placement` are unused
- *  (each scenario places its one or two threads itself). */
-struct UncontestedConfig : SimRunConfig
+/** Each scenario places its own one or two threads, so the config has no
+ *  thread count or placement. */
+struct UncontestedConfig
 {
+    Topology topology = Topology::wildfire();
+    sim::LatencyModel latency = sim::LatencyModel::wildfire();
+    locks::LockParams params;
+    /** Measured pairs per scenario. */
     std::uint32_t iterations = 1000;
+    std::uint64_t seed = 1;
 };
 
 /** Run all three scenarios for @p kind. */

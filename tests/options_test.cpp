@@ -58,6 +58,8 @@ TEST(Options, ParsesEveryKey)
 TEST(Options, BenchVariants)
 {
     EXPECT_EQ(parse_cli({"--bench=new"}).options->bench, CliBench::New);
+    EXPECT_EQ(parse_cli({"--bench=traditional"}).options->bench,
+              CliBench::Traditional);
     EXPECT_EQ(parse_cli({"--bench=uncontested"}).options->bench,
               CliBench::Uncontested);
     EXPECT_FALSE(parse_cli({"--bench=warp"}).options.has_value());

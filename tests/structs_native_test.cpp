@@ -65,8 +65,12 @@ TEST_P(NativeStructsTest, MpmcQueueSoakLosesAndDuplicatesNothing)
                         mine.push_back(*v);
                     } else if (producers_done.load() == kProducers) {
                         // No enqueue can be in flight anymore, so an empty
-                        // verdict is authoritative — drain and stop.
-                        if (!queue.dequeue(ctx).has_value())
+                        // verdict is authoritative — drain and stop. The
+                        // last producer may have enqueued after the empty
+                        // dequeue above, so this one's item is kept too.
+                        if (auto last = queue.dequeue(ctx))
+                            mine.push_back(*last);
+                        else
                             break;
                     } else {
                         std::this_thread::yield();

@@ -244,8 +244,12 @@ run_uncontested_cli(const CliOptions& opts)
     if (opts.csv)
         csv = std::make_unique<stats::CsvWriter>(std::cout, headers);
 
-    auto config = run_config_of<UncontestedConfig>(opts);
+    UncontestedConfig config;
+    config.topology = Topology::symmetric(opts.nodes, opts.cpus_per_node);
+    config.latency = latency_of(opts);
+    config.params = opts.params;
     config.iterations = opts.iterations;
+    config.seed = opts.seed;
 
     const std::vector<LockKind> kinds = selected_locks(opts);
     exec::Executor executor(opts.jobs);
