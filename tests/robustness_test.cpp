@@ -18,7 +18,10 @@
 #include "common/rng.hpp"
 #include "check/harness.hpp"
 #include "check/schedule.hpp"
+#include "harness/barrier.hpp"
 #include "harness/newbench.hpp"
+#include "harness/sim_run.hpp"
+#include "locks/adaptive_policy.hpp"
 #include "locks/any_lock.hpp"
 #include "locks/timed.hpp"
 #include "obs/metrics.hpp"
@@ -655,6 +658,14 @@ TEST(TimedPins, ContendedTimedRuns)
         {LockKind::HboGtSd, false, 0x7f6428ea5f3be4a9u, 7'299'799u, 160u},
         {LockKind::HboGtSd, true, 0x493179d9719a9ce1u, 9'448'313u, 320u},
         {LockKind::HboHier, true, 0x57a20da1db90bc29u, 5'000'946u, 320u},
+        {LockKind::Mcs, false, 0x5f62ae9fea21f01du, 11'655'162u, 160u},
+        {LockKind::Mcs, true, 0x41005b2f2b4fd7e1u, 16'997'469u, 320u},
+        {LockKind::Reactive, false, 0xcc1c0a51d3171139u, 6'369'502u, 160u},
+        {LockKind::Reactive, true, 0x07ab3fb594dea4adu, 10'158'873u, 320u},
+        {LockKind::Adaptive, false, 0x936e1e13be9c9411u, 5'166'593u, 160u},
+        {LockKind::Adaptive, true, 0x594ff2fb78b6a547u, 7'191'853u, 320u},
+        {LockKind::Cohort, false, 0x94a9ff4e7333b743u, 5'557'032u, 160u},
+        {LockKind::Cohort, true, 0xc59b5663eb11f391u, 10'004'242u, 320u},
     };
     for (const Pin& pin : pins) {
         harness::NewBenchConfig config;
@@ -672,6 +683,117 @@ TEST(TimedPins, ContendedTimedRuns)
         EXPECT_EQ(r.total_time, pin.time) << name;
         EXPECT_EQ(r.lock_timeouts, 0u) << name;
         EXPECT_EQ(r.total_acquires, pin.acquires) << name;
+    }
+}
+
+/** What one death_after_untimed() run saw. */
+struct DeathRun
+{
+    harness::BenchResult result;
+    std::uint64_t timeouts = 0;
+    AbandonStats abandon;
+    std::uint64_t storm_demotions = 0;
+};
+
+/**
+ * Every thread first acquires @p kind untimed, so that REACTIVE and
+ * ADAPTIVE adapt to the contention, then meets the others at a barrier
+ * and acquires with a 200 us acquire_for, going on to its next iteration
+ * after a timeout. A holder dies in its critical section a few timed
+ * acquisitions in, so every later wait times out, again and again.
+ */
+DeathRun
+death_after_untimed(LockKind kind, const Topology& topology)
+{
+    constexpr std::uint32_t kUntimed = 12;
+    constexpr std::uint32_t kTimed = 6;
+    harness::SimRunConfig config;
+    config.topology = topology;
+    config.threads = topology.num_cpus();
+    const auto threads = static_cast<std::uint64_t>(config.threads);
+    config.fault_plan = FaultPlan::holder_death(threads * kUntimed + threads);
+    obs::MetricsRegistry reg;
+    config.probe = &reg;
+    harness::SimRun run(config);
+    AnyLock<SimContext> lock(run.machine(), kind, config.params);
+    harness::SenseBarrier<SimContext> barrier(run.machine(), config.threads);
+    const MemRef data = run.machine().alloc_array(4, 0, 0);
+    DeathRun out;
+    run.add_threads([&](SimContext& ctx, int) {
+        bool sense = false;
+        for (std::uint32_t i = 0; i < kUntimed + kTimed; ++i) {
+            if (i == kUntimed)
+                barrier.wait(ctx, &sense);
+            ctx.cs_wait_begin();
+            if (i < kUntimed) {
+                lock.acquire(ctx);
+            } else if (!lock.acquire_for(ctx, 200'000)) {
+                ctx.cs_wait_abort();
+                ++out.timeouts;
+                continue;
+            }
+            run.enter(ctx);
+            ctx.touch_array(data, 4, /*write=*/true);
+            ctx.cs_exit();
+            lock.release(ctx);
+            ctx.delay(ctx.rng().next_below(2'000));
+        }
+    });
+    out.result = run.finish();
+    out.abandon = lock.abandon_stats();
+    reg.finalize();
+    if (const obs::LockMetrics* m = reg.primary())
+        out.storm_demotions = m->adapt_reasons[static_cast<std::size_t>(
+            AdaptReason::TimeoutStorm)];
+    return out;
+}
+
+/** The timed paths' recovery under a holder death: MCS parks its node and
+ *  rejoins it, REACTIVE abandons in its queue mode, ADAPTIVE's timeout
+ *  storm demotes it to the queue gear, and COHORT re-opens its node's
+ *  word. */
+TEST(TimedPins, HolderDeathAfterUntimedContention)
+{
+    struct Pin
+    {
+        LockKind kind;
+        bool chips;
+        std::uint64_t hash;
+        SimTime time;
+        std::uint64_t acquires;
+        std::uint64_t timeouts;
+    };
+    const Pin pins[] = {
+        {LockKind::Mcs, false, 0xde8f73ea798a26bdu, 2'871'269u, 104u, 35u},
+        {LockKind::Mcs, true, 0xff3b58d88132c13du, 4'727'158u, 208u, 75u},
+        {LockKind::Reactive, false, 0x6cc8126b457b5d2au, 2'432'524u, 104u, 35u},
+        {LockKind::Reactive, true, 0xd0d56c7242201e44u, 2'873'746u, 208u, 75u},
+        {LockKind::Adaptive, false, 0x117d956eca85c967u, 2'062'765u, 104u, 37u},
+        {LockKind::Adaptive, true, 0xa9fdbfd2dc56a583u, 2'240'876u, 208u, 80u},
+        {LockKind::Cohort, false, 0xb624c45ca86b3341u, 1'875'424u, 104u, 37u},
+        {LockKind::Cohort, true, 0xc0bbcec5df1a169du, 2'316'433u, 208u, 75u},
+    };
+    for (const Pin& pin : pins) {
+        const DeathRun run = death_after_untimed(
+            pin.kind, pin.chips ? Topology::hierarchical(2, 2, 4)
+                                : Topology::symmetric(2, 4));
+        const std::string name = std::string(lock_name(pin.kind)) +
+                                 (pin.chips ? " on chips" : " flat");
+        EXPECT_EQ(run.result.acquisition_order_hash, pin.hash) << name;
+        EXPECT_EQ(run.result.total_time, pin.time) << name;
+        EXPECT_EQ(run.result.total_acquires, pin.acquires) << name;
+        EXPECT_EQ(run.timeouts, pin.timeouts) << name;
+        EXPECT_GT(run.abandon.abandons, 0u) << name;
+        if (pin.kind == LockKind::Mcs) {
+            EXPECT_GT(run.abandon.parked, 0u) << name;
+            EXPECT_GT(run.abandon.rejoins, 0u) << name;
+        }
+        if (pin.kind == LockKind::Reactive) {
+            EXPECT_GT(run.abandon.parked, 0u) << name; // only its queue parks
+        }
+        if (pin.kind == LockKind::Adaptive) {
+            EXPECT_GT(run.storm_demotions, 0u) << name;
+        }
     }
 }
 
