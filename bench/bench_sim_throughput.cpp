@@ -88,10 +88,9 @@ rates_of(const BenchResult& result, double wall_ns)
  * big shapes' per-event cost; that is allocator throughput, not the
  * scaling property this table tracks.
  */
-Measured
-measure_scale(const ShapeSpec& shape, std::uint32_t iters)
+NewBenchConfig
+scale_config(const ShapeSpec& shape, std::uint32_t iters)
 {
-    constexpr int kReps = 3;
     constexpr int kReferenceCpus = 1024;
     NewBenchConfig config;
     config.topology =
@@ -104,6 +103,15 @@ measure_scale(const ShapeSpec& shape, std::uint32_t iters)
             std::max(shape.total_cpus(), 1)));
     if (config.iterations_per_thread < iters)
         config.iterations_per_thread = iters;
+    return config;
+}
+
+/** Run scale_config() kReps times; see scale_config() for the design. */
+Measured
+measure_scale(const ShapeSpec& shape, std::uint32_t iters)
+{
+    constexpr int kReps = 3;
+    const NewBenchConfig config = scale_config(shape, iters);
     Measured m;
     double best_ns = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -205,18 +213,19 @@ main(int argc, char** argv)
     }
     table.print(std::cout);
 
+    // The first SCALE row's run; each row's name carries its own shape,
+    // and the others scale the iterations to equal total work.
+    const NewBenchConfig first = scale_config(shapes.front(), scale_iters);
     obs::ReportConfig rc;
     rc.tool = "bench_sim_throughput";
     rc.bench = "new";
-    // A 2x14 Figure 5 run, not the SCALE rows, which each run their own
-    // shape and iteration count (ROADMAP item 9).
-    rc.nodes = 2;
-    rc.cpus_per_node = 14;
-    rc.threads = 28;
-    rc.critical_work = 1500;
-    rc.private_work = 4000;
-    rc.iterations = static_cast<std::uint32_t>(scaled_iters(60, 10));
-    rc.seed = 1;
+    rc.nodes = shapes.front().nodes;
+    rc.cpus_per_node = shapes.front().cpus_per_node;
+    rc.threads = first.threads;
+    rc.critical_work = first.critical_work;
+    rc.private_work = first.private_work;
+    rc.iterations = first.iterations_per_thread;
+    rc.seed = first.seed;
     bench::maybe_write_json(rc, runs);
     return 0;
 }

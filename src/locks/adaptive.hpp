@@ -66,32 +66,7 @@ class AdaptiveLock
         gate_token_ = word_.token();
     }
 
-    void
-    acquire(Ctx& ctx)
-    {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token());
-        const AdaptGear gear = current_gear(ctx);
-        bool contended = false;
-        switch (gear) {
-          case AdaptGear::Tatas:
-            contended = tatas_take_word(ctx) > 1;
-            queued_ = false;
-            break;
-          case AdaptGear::Hbo:
-            contended = hbo_acquire(ctx);
-            queued_ = false;
-            break;
-          case AdaptGear::Queue:
-            // Wait in the MCS queue, then take the word with an eager spin
-            // (only the queue head and stale-gear stragglers compete).
-            contended = queue_.acquire_reporting(ctx);
-            (void)tatas_take_word(ctx);
-            queued_ = true;
-            break;
-        }
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token());
-        holder_policy(ctx, gear, contended);
-    }
+    void acquire(Ctx& ctx) { acquire_until<false>(ctx, kNoDeadline); }
 
     bool
     try_acquire(Ctx& ctx)
@@ -108,65 +83,18 @@ class AdaptiveLock
     }
 
     /**
-     * Timed acquisition: every gear's wait is deadline-bounded. The
-     * abandonment paths feed AdaptivePolicy::on_abandon, so a storm of
-     * timeouts demotes the lock to the queue gear (bounded handoff) even
-     * when the holder is dead and no acquisition will ever run policy
-     * again. Overshoot is bounded by one capped backoff plus one poll in
-     * the word-take loops; the queue wait inherits McsLock's bound.
+     * Timed acquisition: the acquire path with every gear's wait ending
+     * at the deadline. The abandonment paths feed
+     * AdaptivePolicy::on_abandon, so a storm of timeouts demotes the lock
+     * to the queue gear (bounded handoff) even when the holder is dead and
+     * no acquisition will ever run policy again. Overshoot is bounded by
+     * one capped backoff plus one poll in the word-take loops; the queue
+     * wait inherits McsLock's bound.
      */
     bool
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
-        const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        const AdaptGear gear = current_gear(ctx);
-        switch (gear) {
-          case AdaptGear::Tatas: {
-            std::uint64_t rounds = 0;
-            if (!timed_take_word(ctx, deadline, &rounds))
-                return abandon_own(ctx, gear);
-            queued_ = false;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            holder_policy(ctx, gear, rounds > 1);
-            return true;
-          }
-          case AdaptGear::Hbo:
-            if (!hbo_timed_acquire(ctx, deadline, gear))
-                return false; // abandonment handled inside (gate re-open)
-            queued_ = false;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            holder_policy(ctx, gear, true);
-            return true;
-          case AdaptGear::Queue: {
-            const std::uint64_t now = detail::lock_clock_ns(ctx);
-            const std::uint64_t budget = deadline > now ? deadline - now : 0;
-            if (!queue_.try_acquire_for(ctx, budget)) {
-                // The queue accounted its own abandonment (its counters,
-                // its lock id); close this lock's attempt and run the
-                // storm check, but do not double-count.
-                obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-                obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                           static_cast<std::uint64_t>(
-                               obs::AbandonOutcome::Clean));
-                storm_check(ctx, gear);
-                return false;
-            }
-            std::uint64_t rounds = 0;
-            if (!timed_take_word(ctx, deadline, &rounds)) {
-                // Queue headship obtained but the word never freed (e.g.
-                // the holder died): hand the grant to our successor so the
-                // queue keeps draining — bounded handoff, no wedge.
-                queue_.release(ctx);
-                return abandon_own(ctx, gear);
-            }
-            queued_ = true;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            holder_policy(ctx, gear, true);
-            return true;
-          }
-        }
-        return false; // unreachable
+        return acquire_until<true>(ctx, detail::deadline_after(ctx, timeout_ns));
     }
 
     void
@@ -185,13 +113,7 @@ class AdaptiveLock
     abandon_stats() const
     {
         AbandonStats s = counters_.snapshot();
-        const AbandonStats q = queue_.abandon_stats();
-        s.abandons += q.abandons;
-        s.parked += q.parked;
-        s.grant_races += q.grant_races;
-        s.reclaims += q.reclaims;
-        s.rejoins += q.rejoins;
-        s.unparks += q.unparks;
+        s += queue_.abandon_stats();
         return s;
     }
 
@@ -212,6 +134,8 @@ class AdaptiveLock
     std::uint64_t lock_id() const { return word_.token(); }
 
   private:
+    using Queue = McsLock<Ctx>;
+
     static std::uint64_t
     gear_word(AdaptGear gear)
     {
@@ -224,202 +148,177 @@ class AdaptiveLock
         return gates_[static_cast<std::size_t>(ctx.node())];
     }
 
-    /** TATAS_EXP on the word (node token in, so every gear can classify
-     *  the holder). Returns the number of backoff rounds paid — the
-     *  policy's contention-cost proxy. One round is the cheap, common case
-     *  of colliding with a short holder; only waits that keep escalating
-     *  the backoff (>1 round) should read as contention worth a gear. */
-    std::uint64_t
-    tatas_take_word(Ctx& ctx)
-    {
-        const std::uint64_t mine = hbo_node_token(ctx.node());
-        std::uint64_t rounds = 0;
-        if (ctx.cas(word_, kHboFree, mine) == kHboFree)
-            return rounds;
-        std::uint32_t b = params_.tatas.base;
-        while (true) {
-            ++rounds;
-            backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
-                    params_.jitter, obs::BackoffClass::Generic);
-            if (ctx.load(word_) != kHboFree)
-                continue;
-            if (ctx.cas(word_, kHboFree, mine) == kHboFree)
-                return rounds;
-        }
-    }
-
-    /** Deadline-bounded TATAS_EXP word take; reports backoff rounds like
-     *  tatas_take_word. */
+    /**
+     * The one acquire path: acquire() runs it without a deadline and
+     * try_acquire_for() with one (@p kTimed). A timed acquire in the HBO
+     * or queue gear reports itself contended to the policy.
+     */
+    template <bool kTimed>
     bool
-    timed_take_word(Ctx& ctx, std::uint64_t deadline, std::uint64_t* rounds)
+    acquire_until(Ctx& ctx, std::uint64_t deadline)
     {
-        const std::uint64_t mine = hbo_node_token(ctx.node());
-        *rounds = 0;
-        if (ctx.cas(word_, kHboFree, mine) == kHboFree)
-            return true;
-        std::uint32_t b = params_.tatas.base;
-        while (true) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
+        const std::uint64_t timed = kTimed ? 1 : 0;
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), timed);
+        const AdaptGear gear = current_gear(ctx);
+        std::uint64_t rounds = 0;
+        bool contended = false;
+        switch (gear) {
+          case AdaptGear::Tatas:
+            if (!take_word(ctx, deadline, &rounds))
+                return abandon_own(ctx, gear);
+            contended = rounds > 1;
+            break;
+          case AdaptGear::Hbo:
+            if (!hbo_acquire<kTimed>(ctx, deadline, gear, &rounds))
+                return false; // abandonment handled inside (gate re-open)
+            contended = kTimed || rounds > 1;
+            break;
+          case AdaptGear::Queue: {
+            // Wait in the MCS queue, then take the word with an eager spin
+            // (only the queue head and stale-gear stragglers compete).
+            const auto queued =
+                queue_.template acquire_until<kTimed>(ctx, deadline);
+            if (queued == Queue::Outcome::TimedOut) {
+                // The queue accounted its own abandonment (its counters,
+                // its lock id); close this lock's attempt and run the
+                // storm check, but do not double-count.
+                abandon_clean(ctx, nullptr, word_.token());
+                storm_check(ctx, gear);
                 return false;
-            ++*rounds;
-            backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
-                    params_.jitter, obs::BackoffClass::Generic);
-            if (ctx.load(word_) != kHboFree)
-                continue;
-            if (ctx.cas(word_, kHboFree, mine) == kHboFree)
-                return true;
+            }
+            if (!take_word(ctx, deadline, &rounds)) {
+                // Queue headship obtained but the word never freed (e.g.
+                // the holder died): hand the grant to our successor so the
+                // queue keeps draining — bounded handoff, no wedge.
+                queue_.release(ctx);
+                return abandon_own(ctx, gear);
+            }
+            contended = kTimed || queued == Queue::Outcome::Waited;
+            break;
+          }
         }
+        queued_ = gear == AdaptGear::Queue;
+        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), timed);
+        holder_policy(ctx, gear, contended);
+        return true;
     }
 
-    /** HBO_GT arrival shaping (locks/hbo.hpp, inlined so the gears
-     *  share one word). Returns whether the acquire was contended, using
-     *  the same cost proxy as tatas_take_word: more than one backoff
-     *  round. A single cheap round is what a *working* gear looks like
-     *  under light load; reading it as contention would pin the lock in
-     *  this gear long after the load that justified it has drained. */
+    /** TATAS_EXP on the word until @p deadline (node token in, so every
+     *  gear can classify the holder). Adds the backoff rounds paid to
+     *  *@p rounds — the policy's contention-cost proxy. One round is the
+     *  cheap, common case of colliding with a short holder; only waits
+     *  that keep escalating the backoff (>1 round) should read as
+     *  contention worth a gear. */
     bool
-    hbo_acquire(Ctx& ctx)
+    take_word(Ctx& ctx, std::uint64_t deadline, std::uint64_t* rounds)
     {
-        obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        ctx.spin_while_equal(my_gate(ctx), gate_token_);
         const std::uint64_t mine = hbo_node_token(ctx.node());
+        std::uint32_t b = params_.tatas.base;
+        std::uint64_t v = ctx.cas(word_, kHboFree, mine);
+        while (v != kHboFree) {
+            // Poll while the same holder's token stays in the word.
+            const PollResult poll =
+                backoff_poll(ctx, word_, v, &b, params_.tatas.factor,
+                             params_.tatas.cap, params_.jitter,
+                             obs::BackoffClass::Generic, kUnlimitedPolls,
+                             deadline);
+            *rounds += poll.polls;
+            if (poll.timed_out)
+                return false;
+            v = hbo_claim(ctx, word_, poll.value, mine);
+        }
+        return true;
+    }
+
+    /**
+     * HBO_GT arrival shaping (locks/hbo.hpp, inlined so the gears share
+     * one word), adding its backoff rounds to *@p rounds like take_word.
+     * A single cheap round is what a *working* gear looks like under light
+     * load; reading it as contention would pin the lock in this gear long
+     * after the load that justified it has drained. Unlike HBO_GT it skips
+     * Figure 1's backoff after the lock leaves the node. A thread that
+     * times out after closing its node's gate re-opens it before leaving
+     * (the HMCS-T gate discipline), or the node wedges.
+     * @return false when the deadline passed, with the abandonment done.
+     */
+    template <bool kTimed>
+    bool
+    hbo_acquire(Ctx& ctx, std::uint64_t deadline, AdaptGear gear,
+                std::uint64_t* rounds)
+    {
+        if constexpr (!kTimed)
+            deadline = kNoDeadline; // the polls' deadline checks fold away
+        const std::uint64_t mine = hbo_node_token(ctx.node());
+        if (!gate_wait<kTimed>(ctx, deadline))
+            return abandon_own(ctx, gear);
         std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
-        if (tmp == kHboFree)
-            return false;
-        std::uint64_t rounds = 0;
-        while (true) {
+        while (tmp != kHboFree) {
             if (tmp == mine) {
                 // Local holder: small backoff, gate untouched.
                 std::uint32_t b = params_.hbo_local.base;
-                bool migrated = false;
-                while (!migrated) {
-                    ++rounds;
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree)
-                        return rounds > 1;
-                    if (tmp != mine)
-                        migrated = true;
-                }
+                do {
+                    const PollResult poll = backoff_poll(
+                        ctx, word_, mine, &b, params_.hbo_local.factor,
+                        params_.hbo_local.cap, params_.jitter,
+                        obs::BackoffClass::Local, kUnlimitedPolls, deadline);
+                    *rounds += poll.polls;
+                    if (poll.timed_out)
+                        return abandon_own(ctx, gear);
+                    tmp = hbo_claim(ctx, word_, poll.value, mine);
+                } while (tmp == mine);
             } else {
                 // Remote holder: close our node's gate, back off hard.
                 std::uint32_t b = params_.hbo_remote_base;
                 obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
                            static_cast<std::uint64_t>(ctx.node()));
                 ctx.store(my_gate(ctx), gate_token_);
-                while (true) {
-                    ++rounds;
-                    backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                            obs::BackoffClass::Remote);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree || tmp == mine) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen,
-                                   word_.token(), 1);
-                        ctx.store(my_gate(ctx), kGateDummyValue);
-                        if (tmp == kHboFree)
-                            return rounds > 1;
-                        break;
-                    }
-                }
-            }
-            // Restart: re-gate, retry, re-dispatch.
-            obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-            ctx.spin_while_equal(my_gate(ctx), gate_token_);
-            tmp = hbo_poll(ctx, word_, mine);
-            if (tmp == kHboFree)
-                return rounds > 1;
-        }
-    }
-
-    /** Deadline-bounded HBO gear (the HMCS-T gate discipline of
-     *  hbo.hpp): a thread that times out after closing its node's gate
-     *  re-opens it before leaving, or the node wedges. */
-    bool
-    hbo_timed_acquire(Ctx& ctx, std::uint64_t deadline, AdaptGear gear)
-    {
-        const std::uint64_t mine = hbo_node_token(ctx.node());
-        if (!gate_wait_until(ctx, deadline))
-            return abandon_own(ctx, gear);
-        std::uint64_t tmp = ctx.cas(word_, kHboFree, mine);
-        while (tmp != kHboFree) {
-            if (tmp == mine) {
-                std::uint32_t b = params_.hbo_local.base;
-                bool migrated = false;
-                while (!migrated && tmp != kHboFree) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_own(ctx, gear);
-                    backoff(ctx, &b, params_.hbo_local.factor,
-                            params_.hbo_local.cap, params_.jitter,
-                            obs::BackoffClass::Local);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp != kHboFree && tmp != mine)
-                        migrated = true;
-                }
-            } else {
-                std::uint32_t b = params_.hbo_remote_base;
-                obs::probe(ctx, obs::LockEvent::GatePublish, word_.token(),
-                           static_cast<std::uint64_t>(ctx.node()));
-                ctx.store(my_gate(ctx), gate_token_);
-                while (true) {
-                    if (detail::lock_clock_ns(ctx) >= deadline)
-                        return abandon_reopening_gate(ctx, gear);
-                    backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
-                            obs::BackoffClass::Remote);
-                    tmp = hbo_poll(ctx, word_, mine);
-                    if (tmp == kHboFree || tmp == mine) {
-                        obs::probe(ctx, obs::LockEvent::GateOpen,
-                                   word_.token(), 1);
-                        ctx.store(my_gate(ctx), kGateDummyValue);
-                        break;
-                    }
-                }
+                do {
+                    const PollResult poll = backoff_poll(
+                        ctx, word_, tmp, &b, 2, params_.hbo_remote_cap,
+                        params_.jitter, obs::BackoffClass::Remote,
+                        kUnlimitedPolls, deadline);
+                    *rounds += poll.polls;
+                    if (poll.timed_out)
+                        return abandon_own(ctx, gear, [&] { open_gate(ctx); });
+                    tmp = hbo_claim(ctx, word_, poll.value, mine);
+                } while (tmp != kHboFree && tmp != mine);
+                open_gate(ctx);
             }
             if (tmp == kHboFree)
                 break;
-            if (!gate_wait_until(ctx, deadline))
+            // Restart: re-gate, retry, re-dispatch.
+            if (!gate_wait<kTimed>(ctx, deadline))
                 return abandon_own(ctx, gear);
             tmp = hbo_poll(ctx, word_, mine);
         }
         return true;
     }
 
-    /** Deadline-bounded entry/restart gate wait (HBO gear). */
+    /** Figure 1 line 5 (HBO gear): wait while our node's gate is closed. */
+    template <bool kTimed>
     bool
-    gate_wait_until(Ctx& ctx, std::uint64_t deadline)
+    gate_wait(Ctx& ctx, std::uint64_t deadline)
     {
         obs::probe_gate(ctx, my_gate(ctx), gate_token_, word_.token());
-        while (ctx.load(my_gate(ctx)) == gate_token_) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
-                return false;
-            ctx.delay(kTimedPollQuantum);
-        }
-        return true;
+        return wait_while_equal<kTimed>(ctx, my_gate(ctx), gate_token_,
+                                        deadline);
     }
 
-    /** Timed out with nothing left behind: account, probe, storm-check. */
-    bool
-    abandon_own(Ctx& ctx, AdaptGear gear)
+    /** Re-open our node's gate (HBO gear). */
+    void
+    open_gate(Ctx& ctx)
     {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        storm_check(ctx, gear);
-        return false;
-    }
-
-    /** Timed out while our gate closure is published: re-open it first. */
-    bool
-    abandon_reopening_gate(Ctx& ctx, AdaptGear gear)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
         obs::probe(ctx, obs::LockEvent::GateOpen, word_.token(), 1);
         ctx.store(my_gate(ctx), kGateDummyValue);
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
+    }
+
+    /** Timed out with nothing left behind once @p undo has run: account,
+     *  probe, storm-check. */
+    template <typename Undo = void (*)()>
+    bool
+    abandon_own(Ctx& ctx, AdaptGear gear, Undo undo = [] {})
+    {
+        abandon_clean(ctx, &counters_, word_.token(), undo);
         storm_check(ctx, gear);
         return false;
     }
@@ -499,7 +398,7 @@ class AdaptiveLock
     Ref gear_;
     std::vector<Ref> gates_;
     std::uint64_t gate_token_ = 0;
-    McsLock<Ctx> queue_;
+    Queue queue_;
     LockParams params_;
     AdaptivePolicy policy_;
     AbandonCounters counters_;

@@ -1,8 +1,9 @@
 /**
  * @file
  * The paper's backoff() helper (Fig. 1, lines 11-16), shared by all
- * backoff-based locks, with optional deterministic jitter; and
- * backoff_poll(), the backoff-and-reload wait built on it.
+ * backoff-based locks, with optional deterministic jitter; and the two
+ * waits every lock is written with: backoff_poll(), the backoff-and-reload
+ * wait built on it, and wait_while_equal(), the wait on a flag or gate.
  */
 #ifndef NUCALOCK_LOCKS_BACKOFF_HPP
 #define NUCALOCK_LOCKS_BACKOFF_HPP
@@ -14,6 +15,7 @@
 #include "locks/context.hpp"
 #include "locks/instrumented.hpp" // detail::lock_clock_ns
 #include "locks/params.hpp"
+#include "locks/timed.hpp" // kTimedPollQuantum
 #include "obs/probe.hpp"
 
 namespace nucalock::locks {
@@ -101,6 +103,33 @@ backoff_poll(Ctx& ctx, typename Ctx::Ref word, std::uint64_t held,
     } while (r.value == held &&
              (max_polls == kUnlimitedPolls || r.polls < max_polls));
     return r;
+}
+
+/**
+ * Wait while @p ref holds @p v. The untimed wait parks in
+ * spin_while_equal until another cpu writes the word. The timed one
+ * reloads every kTimedPollQuantum iterations and gives up when the clock
+ * reads @p deadline or later after a load that still saw @p v. It polls
+ * even when @p deadline is kNoDeadline: a timed wait keeps its timing
+ * whatever its timeout.
+ * @return false when the timed wait gave up.
+ */
+template <bool kTimed, LockContext Ctx>
+bool
+wait_while_equal(Ctx& ctx, typename Ctx::Ref ref, std::uint64_t v,
+                 std::uint64_t deadline)
+{
+    if constexpr (!kTimed) {
+        (void)deadline;
+        ctx.spin_while_equal(ref, v);
+    } else {
+        while (ctx.load(ref) == v) {
+            if (detail::lock_clock_ns(ctx) >= deadline)
+                return false;
+            ctx.delay(kTimedPollQuantum);
+        }
+    }
+    return true;
 }
 
 } // namespace nucalock::locks

@@ -126,14 +126,8 @@ class CohortLock
         NodeState& node = local_[static_cast<std::size_t>(ctx.node())];
 
         // 1. Local word, deadline-bounded, never marking contended.
-        if (!spin_lock_until(ctx, node.word, params_.hbo_local, deadline)) {
-            counters_.on_abandon();
-            obs::probe(ctx, obs::LockEvent::AbandonStart, lock_id());
-            obs::probe(
-                ctx, obs::LockEvent::AbandonDone, lock_id(),
-                static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-            return false;
-        }
+        if (!spin_lock_until(ctx, node.word, params_.hbo_local, deadline))
+            return abandon_clean(ctx, &counters_, lock_id());
 
         // 2. Global tier: inherit, or poll the ticket tier's try path.
         if (node.global_owned) {
@@ -152,13 +146,9 @@ class CohortLock
             if (detail::lock_clock_ns(ctx) >= deadline) {
                 // Abandon: re-open the local word we hold, or the node
                 // wedges. Nothing else to undo — no ticket was taken.
-                counters_.on_abandon();
-                obs::probe(ctx, obs::LockEvent::AbandonStart, lock_id());
-                ctx.store(node.word, kFree);
-                obs::probe(
-                    ctx, obs::LockEvent::AbandonDone, lock_id(),
-                    static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-                return false;
+                return abandon_clean(ctx, &counters_, lock_id(), [&] {
+                    ctx.store(node.word, kFree);
+                });
             }
             backoff(ctx, &b, 2, params_.hbo_remote_cap, params_.jitter,
                     obs::BackoffClass::Remote);
@@ -219,10 +209,10 @@ class CohortLock
         if (ctx.cas(word, kFree, kLocked) == kFree)
             return;
         std::uint32_t b = bp.base;
+        std::uint64_t v = ctx.load(word);
         while (true) {
             // Advertise our presence: FREE->locked wins; locked->contended
             // keeps the waiter count visible at release time.
-            const std::uint64_t v = ctx.load(word);
             if (v == kFree) {
                 if (ctx.cas(word, kFree, kLocked) == kFree) {
                     // Normalize: the contended marker we (or others who
@@ -233,12 +223,14 @@ class CohortLock
                     // costs one detour opportunity, never correctness.
                     return;
                 }
+                v = ctx.load(word);
                 continue;
             }
             if (v == kLocked)
                 ctx.cas(word, kLocked, kLockedContended);
-            backoff(ctx, &b, bp.factor, bp.cap, params_.jitter,
-                    obs::BackoffClass::Local);
+            v = backoff_poll(ctx, word, kLockedContended, &b, bp.factor,
+                             bp.cap, params_.jitter, obs::BackoffClass::Local)
+                    .value;
         }
     }
 

@@ -412,34 +412,22 @@ class HboFamilyLock
         return spin;
     }
 
-    /**
-     * Figure 1 line 5: wait while our node's gate names this lock. The
-     * untimed wait parks in spin_while_equal; the timed one reloads every
-     * kTimedPollQuantum iterations and gives up at the deadline.
-     */
+    /** Figure 1 line 5: wait while our node's gate names this lock
+     *  (wait_while_equal: the timed wait polls, the untimed one parks). */
     template <bool kTimed>
     bool
     gate_wait(Ctx& ctx, std::uint64_t deadline)
     {
         obs::probe_gate(ctx, my_gate(ctx), word_.token(), word_.token());
-        if constexpr (!kTimed) {
-            ctx.spin_while_equal(my_gate(ctx), word_.token());
-        } else {
-            while (ctx.load(my_gate(ctx)) == word_.token()) {
-                if (detail::lock_clock_ns(ctx) >= deadline)
-                    return false;
-                ctx.delay(kTimedPollQuantum);
-            }
-        }
-        return true;
+        return wait_while_equal<kTimed>(ctx, my_gate(ctx), word_.token(),
+                                        deadline);
     }
 
     /** Timed out with no gate of ours closed: nothing to undo. */
     [[gnu::cold]] bool
     abandon(Ctx& ctx)
     {
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        return abandoned(ctx);
+        return abandon_clean(ctx, &counters_, word_.token());
     }
 
     /** Finish an abandonment whose AbandonStart is out. */

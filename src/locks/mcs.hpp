@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "locks/backoff.hpp"
 #include "locks/context.hpp"
 #include "locks/params.hpp"
 #include "locks/timed.hpp"
@@ -74,46 +75,7 @@ class McsLock
     {
     }
 
-    void
-    acquire(Ctx& ctx)
-    {
-        (void)acquire_reporting(ctx);
-    }
-
-    /**
-     * Acquire and report whether we had to queue behind a predecessor
-     * (used by ReactiveLock's contention estimator).
-     */
-    bool
-    acquire_reporting(Ctx& ctx)
-    {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, tail_.token());
-        QNode& q = qnode(ctx);
-        if (q.parked) {
-            // Our node is still in the queue from a past abandonment.
-            if (resume_parked(ctx, q)) {
-                // Rejoined the old position; wait out the handover.
-                ctx.spin_while_equal(q.locked, kWaiting);
-                obs::probe(ctx, obs::LockEvent::Acquired, tail_.token());
-                return true;
-            }
-            // Node reclaimed and unparked — fall through to a fresh enqueue.
-        }
-        ctx.store(q.next, kEmpty);
-        const std::uint64_t pred = ctx.swap(tail_, id_of(ctx));
-        if (pred == kEmpty) {
-            obs::probe(ctx, obs::LockEvent::Acquired, tail_.token());
-            return false; // lock was free
-        }
-        // Prepare our flag before making ourselves visible to the
-        // predecessor, then link in and spin locally.
-        ctx.store(q.locked, kWaiting);
-        QNode& pq = qnode_of(pred);
-        ctx.store(pq.next, id_of(ctx));
-        ctx.spin_while_equal(q.locked, kWaiting);
-        obs::probe(ctx, obs::LockEvent::Acquired, tail_.token());
-        return true;
-    }
+    void acquire(Ctx& ctx) { acquire_until<false>(ctx, kNoDeadline); }
 
     bool
     try_acquire(Ctx& ctx)
@@ -146,24 +108,59 @@ class McsLock
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
         const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, tail_.token(), 1);
+        return acquire_until<true>(ctx, deadline) != Outcome::TimedOut;
+    }
+
+    /** How acquire_until() ended. */
+    enum class Outcome
+    {
+        /** The queue was empty: no predecessor to wait for. */
+        Free,
+        /** Queued behind a predecessor, then granted the lock. */
+        Waited,
+        /** The deadline passed first (timed only). */
+        TimedOut,
+    };
+
+    /**
+     * The one acquire path: acquire() runs it without a deadline and
+     * try_acquire_for() with one (@p kTimed). A timed wait polls its flag
+     * and at the deadline abandons in place, parking the node; an untimed
+     * one parks in spin_while_equal. REACTIVE's and ADAPTIVE's queue
+     * tiers call it to learn whether they waited.
+     */
+    template <bool kTimed>
+    Outcome
+    acquire_until(Ctx& ctx, std::uint64_t deadline)
+    {
+        if constexpr (!kTimed)
+            deadline = kNoDeadline; // resume_parked reads no clock
+        const std::uint64_t timed = kTimed ? 1 : 0;
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, tail_.token(), timed);
         QNode& q = qnode(ctx);
-        if (q.parked && !resume_parked_timed(ctx, q, deadline))
-            return false; // still parked (reclaim pending or deadline hit)
+        // Our node is still in the queue from a past abandonment: rejoin
+        // its old position, or enqueue it fresh once reclaimed.
+        if (q.parked && !resume_parked(ctx, q, deadline))
+            return Outcome::TimedOut; // a reclaim still in flight
         if (!q.parked) {
-            // Fresh enqueue (also the post-unpark path).
             ctx.store(q.next, kEmpty);
             const std::uint64_t pred = ctx.swap(tail_, id_of(ctx));
             if (pred == kEmpty) {
-                obs::probe(ctx, obs::LockEvent::Acquired, tail_.token(), 1);
-                return true;
+                obs::probe(ctx, obs::LockEvent::Acquired, tail_.token(),
+                           timed);
+                return Outcome::Free;
             }
+            // Prepare our flag before making ourselves visible to the
+            // predecessor, then link in and spin locally.
             ctx.store(q.locked, kWaiting);
-            QNode& pq = qnode_of(pred);
-            ctx.store(pq.next, id_of(ctx));
+            ctx.store(qnode_of(pred).next, id_of(ctx));
         }
         q.parked = false;
-        return timed_wait(ctx, q, deadline);
+        if (!wait_while_equal<kTimed>(ctx, q.locked, kWaiting, deadline) &&
+            !abandon_in_queue(ctx, q))
+            return Outcome::TimedOut;
+        obs::probe(ctx, obs::LockEvent::Acquired, tail_.token(), timed);
+        return Outcome::Waited;
     }
 
     void
@@ -239,76 +236,39 @@ class McsLock
         return static_cast<std::uint64_t>(ctx.thread_id()) + 1;
     }
 
-    /** Poll our flag until granted or the deadline; abandon at deadline. */
+    /**
+     * The flag wait timed out: park the node in the queue, unless the
+     * handover won the race, and then accept the lock past the deadline
+     * (bounded overshoot — one poll + one handover).
+     * @return whether the lock was accepted.
+     */
     bool
-    timed_wait(Ctx& ctx, QNode& q, std::uint64_t deadline)
+    abandon_in_queue(Ctx& ctx, QNode& q)
     {
-        while (true) {
-            if (ctx.load(q.locked) == kGranted) {
-                obs::probe(ctx, obs::LockEvent::Acquired, tail_.token(), 1);
-                return true;
-            }
-            if (detail::lock_clock_ns(ctx) >= deadline) {
-                obs::probe(ctx, obs::LockEvent::AbandonStart, tail_.token());
-                if (ctx.cas(q.locked, kWaiting, kAbandoned) == kWaiting) {
-                    q.parked = true;
-                    counters_.on_abandon();
-                    counters_.on_park();
-                    obs::probe(
-                        ctx, obs::LockEvent::AbandonDone, tail_.token(),
-                        static_cast<std::uint64_t>(
-                            obs::AbandonOutcome::Parked));
-                    return false;
-                }
-                // The handover won the race: accept the lock past the
-                // deadline (bounded overshoot — one poll + one handover).
-                counters_.on_grant_race();
-                obs::probe(ctx, obs::LockEvent::AbandonDone, tail_.token(),
-                           static_cast<std::uint64_t>(
-                               obs::AbandonOutcome::GrantRaced));
-                obs::probe(ctx, obs::LockEvent::Acquired, tail_.token(), 1);
-                return true;
-            }
-            ctx.delay(kTimedPollQuantum);
+        obs::probe(ctx, obs::LockEvent::AbandonStart, tail_.token());
+        if (ctx.cas(q.locked, kWaiting, kAbandoned) == kWaiting) {
+            q.parked = true;
+            counters_.on_abandon();
+            counters_.on_park();
+            obs::probe(ctx, obs::LockEvent::AbandonDone, tail_.token(),
+                       static_cast<std::uint64_t>(obs::AbandonOutcome::Parked));
+            return false;
         }
+        counters_.on_grant_race();
+        obs::probe(ctx, obs::LockEvent::AbandonDone, tail_.token(),
+                   static_cast<std::uint64_t>(obs::AbandonOutcome::GrantRaced));
+        return true;
     }
 
     /**
-     * Untimed re-entry with a parked node. Returns true when we rejoined
-     * the old queue position (caller waits for the handover); false when
-     * the node was reclaimed and unparked (caller enqueues fresh).
+     * Re-entry with a parked node. Returns true when the node is ready:
+     * rejoined at its old queue position (q.parked stays set, and the
+     * caller waits for the handover) or reclaimed and unparked (the caller
+     * enqueues it fresh). Returns false when @p deadline passed first; the
+     * clock is read only when there is one.
      */
     bool
-    resume_parked(Ctx& ctx, QNode& q)
-    {
-        while (true) {
-            if (ctx.cas(q.locked, kAbandoned, kWaiting) == kAbandoned) {
-                q.parked = false;
-                counters_.on_rejoin();
-                obs::probe(ctx, obs::LockEvent::QueueReclaim, tail_.token(),
-                           static_cast<std::uint64_t>(
-                               obs::ReclaimKind::Rejoined),
-                           static_cast<std::uint64_t>(ctx.thread_id()));
-                return true;
-            }
-            const std::uint64_t v = ctx.load(q.locked);
-            if (v == kReclaimed) {
-                unpark(ctx, q);
-                return false;
-            }
-            // kReclaiming: a releaser is unlinking us right now; the
-            // kReclaimed publish is a bounded number of its steps away.
-            ctx.delay(kTimedPollQuantum);
-        }
-    }
-
-    /**
-     * Timed re-entry with a parked node. Returns true when the node is
-     * ready (rejoined and waiting, or unparked for a fresh enqueue —
-     * distinguished by q.parked); false when the deadline passed first.
-     */
-    bool
-    resume_parked_timed(Ctx& ctx, QNode& q, std::uint64_t deadline)
+    resume_parked(Ctx& ctx, QNode& q, std::uint64_t deadline)
     {
         while (true) {
             if (ctx.cas(q.locked, kAbandoned, kWaiting) == kAbandoned) {
@@ -317,14 +277,14 @@ class McsLock
                            static_cast<std::uint64_t>(
                                obs::ReclaimKind::Rejoined),
                            static_cast<std::uint64_t>(ctx.thread_id()));
-                return true; // q.parked stays set; caller skips enqueue
+                return true;
             }
-            const std::uint64_t v = ctx.load(q.locked);
-            if (v == kReclaimed) {
+            if (ctx.load(q.locked) == kReclaimed) {
                 unpark(ctx, q);
                 return true;
             }
-            if (detail::lock_clock_ns(ctx) >= deadline) {
+            if (deadline != kNoDeadline &&
+                detail::lock_clock_ns(ctx) >= deadline) {
                 // Reclaim still in flight (e.g. the reclaiming releaser
                 // was preempted or died). Leave the node parked.
                 counters_.on_abandon();
@@ -334,6 +294,8 @@ class McsLock
                                obs::AbandonOutcome::Parked));
                 return false;
             }
+            // kReclaiming: a releaser is unlinking us right now; the
+            // kReclaimed publish is a bounded number of its steps away.
             ctx.delay(kTimedPollQuantum);
         }
     }

@@ -47,13 +47,7 @@ class ReactiveLock
     {
     }
 
-    void
-    acquire(Ctx& ctx)
-    {
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token());
-        acquire_impl(ctx);
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token());
-    }
+    void acquire(Ctx& ctx) { acquire_until<false>(ctx, kNoDeadline); }
 
     bool
     try_acquire(Ctx& ctx)
@@ -67,8 +61,9 @@ class ReactiveLock
     }
 
     /**
-     * Timed acquisition. Spin mode is a deadline-bounded TATAS_EXP on the
-     * word; queue mode bounds the MCS wait (the queue's own abandonment
+     * Timed acquisition: the acquire path with every wait ending at the
+     * deadline. Spin mode is a deadline-bounded TATAS_EXP on the word;
+     * queue mode bounds the MCS wait (the queue's own abandonment
      * protocol) and then the word take — a timeout after winning queue
      * headship hands the grant to the successor before abandoning, so the
      * queue keeps draining behind a wedged (or dead) word holder. Timed
@@ -78,31 +73,7 @@ class ReactiveLock
     bool
     try_acquire_for(Ctx& ctx, std::uint64_t timeout_ns)
     {
-        const std::uint64_t deadline = detail::deadline_after(ctx, timeout_ns);
-        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), 1);
-        if (ctx.load(mode_) == kSpinMode) {
-            if (!spin_acquire_until(ctx, deadline))
-                return abandon(ctx);
-            queued_ = false;
-            obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-            return true;
-        }
-        const std::uint64_t now = detail::lock_clock_ns(ctx);
-        if (!queue_.try_acquire_for(ctx, deadline > now ? deadline - now : 0)) {
-            // The queue accounted its own abandonment (its counters, its
-            // lock id); close this lock's attempt without double-counting.
-            obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-            obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                       static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-            return false;
-        }
-        if (!spin_acquire_until(ctx, deadline)) {
-            queue_.release(ctx);
-            return abandon(ctx);
-        }
-        queued_ = true;
-        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), 1);
-        return true;
+        return acquire_until<true>(ctx, detail::deadline_after(ctx, timeout_ns));
     }
 
     /** Host-side abandonment accounting: this lock's own word-take
@@ -111,13 +82,7 @@ class ReactiveLock
     abandon_stats() const
     {
         AbandonStats s = counters_.snapshot();
-        const AbandonStats q = queue_.abandon_stats();
-        s.abandons += q.abandons;
-        s.parked += q.parked;
-        s.grant_races += q.grant_races;
-        s.reclaims += q.reclaims;
-        s.rejoins += q.rejoins;
-        s.unparks += q.unparks;
+        s += queue_.abandon_stats();
         return s;
     }
 
@@ -136,93 +101,90 @@ class ReactiveLock
     std::uint64_t lock_id() const { return word_.token(); }
 
   private:
-    void
-    acquire_impl(Ctx& ctx)
-    {
-        if (ctx.load(mode_) == kSpinMode) {
-            const std::uint64_t attempts = spin_acquire(ctx);
-            // Holder-side adaptation: repeated contended acquires flip the
-            // lock into queue mode (we hold the lock, so the write is safe).
-            streak_ = attempts > 1 ? streak_ + 1 : 0;
-            if (streak_ >= params_.reactive_slow_threshold) {
-                ctx.store(mode_, kQueueMode);
-                streak_ = 0;
-            }
-            queued_ = false;
-            return;
-        }
-
-        // Queue mode: wait in the MCS queue, then take the word with an
-        // eager spin (only the queue head and stale spin-mode stragglers
-        // compete for it).
-        const bool waited = queue_.acquire_reporting(ctx);
-        (void)spin_acquire(ctx);
-        // Flip back once arrivals repeatedly find the queue empty — the
-        // contention that justified queueing is gone.
-        streak_ = waited ? 0 : streak_ + 1;
-        if (streak_ >= params_.reactive_fast_threshold) {
-            ctx.store(mode_, kSpinMode);
-            streak_ = 0;
-        }
-        queued_ = true;
-    }
+    using Queue = McsLock<Ctx>;
 
     static constexpr std::uint64_t kSpinMode = 0;
     static constexpr std::uint64_t kQueueMode = 1;
+    /** The word's value while held: what tas writes. */
+    static constexpr std::uint64_t kHeld = 1;
 
-    /** TATAS_EXP on the word; returns the number of tas attempts. */
-    std::uint64_t
-    spin_acquire(Ctx& ctx)
+    /** The one acquire path: acquire() runs it without a deadline and
+     *  try_acquire_for() with one (@p kTimed). Only the untimed path
+     *  adapts the mode. */
+    template <bool kTimed>
+    bool
+    acquire_until(Ctx& ctx, std::uint64_t deadline)
     {
-        std::uint64_t attempts = 1;
-        if (ctx.tas(word_) == 0)
-            return attempts;
-        std::uint32_t b = params_.tatas.base;
-        while (true) {
-            backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
-                    params_.jitter, obs::BackoffClass::Generic);
-            if (ctx.load(word_) != 0)
-                continue;
-            ++attempts;
-            if (ctx.tas(word_) == 0)
-                return attempts;
+        const std::uint64_t timed = kTimed ? 1 : 0;
+        obs::probe(ctx, obs::LockEvent::AcquireAttempt, word_.token(), timed);
+        std::uint64_t attempts = 0;
+        if (ctx.load(mode_) == kSpinMode) {
+            if (!take_word(ctx, deadline, &attempts))
+                return abandon_clean(ctx, &counters_, word_.token());
+            if constexpr (!kTimed) {
+                // Holder-side adaptation: repeated contended acquires flip
+                // the lock into queue mode (we hold the lock, so the write
+                // is safe).
+                streak_ = attempts > 1 ? streak_ + 1 : 0;
+                if (streak_ >= params_.reactive_slow_threshold) {
+                    ctx.store(mode_, kQueueMode);
+                    streak_ = 0;
+                }
+            }
+            queued_ = false;
+        } else {
+            // Queue mode: wait in the MCS queue, then take the word with
+            // an eager spin (only the queue head and stale spin-mode
+            // stragglers compete for it).
+            const auto queued =
+                queue_.template acquire_until<kTimed>(ctx, deadline);
+            if (queued == Queue::Outcome::TimedOut) {
+                // The queue accounted its own abandonment (its counters,
+                // its lock id); close this lock's attempt without
+                // double-counting.
+                return abandon_clean(ctx, nullptr, word_.token());
+            }
+            if (!take_word(ctx, deadline, &attempts)) {
+                queue_.release(ctx);
+                return abandon_clean(ctx, &counters_, word_.token());
+            }
+            if constexpr (!kTimed) {
+                // Flip back once arrivals repeatedly find the queue empty
+                // — the contention that justified queueing is gone.
+                streak_ = queued == Queue::Outcome::Waited ? 0 : streak_ + 1;
+                if (streak_ >= params_.reactive_fast_threshold) {
+                    ctx.store(mode_, kSpinMode);
+                    streak_ = 0;
+                }
+            }
+            queued_ = true;
         }
+        obs::probe(ctx, obs::LockEvent::Acquired, word_.token(), timed);
+        return true;
     }
 
-    /** Deadline-bounded TATAS_EXP on the word. Overshoot is bounded by
-     *  one capped backoff plus one poll. */
+    /** TATAS_EXP on the word until @p deadline, counting tas attempts in
+     *  *@p attempts. Overshoot is bounded by one capped backoff plus one
+     *  poll. */
     bool
-    spin_acquire_until(Ctx& ctx, std::uint64_t deadline)
+    take_word(Ctx& ctx, std::uint64_t deadline, std::uint64_t* attempts)
     {
-        if (ctx.tas(word_) == 0)
-            return true;
         std::uint32_t b = params_.tatas.base;
-        while (true) {
-            if (detail::lock_clock_ns(ctx) >= deadline)
+        for (*attempts = 1; ctx.tas(word_) != 0; ++*attempts) {
+            const PollResult poll =
+                backoff_poll(ctx, word_, kHeld, &b, params_.tatas.factor,
+                             params_.tatas.cap, params_.jitter,
+                             obs::BackoffClass::Generic, kUnlimitedPolls,
+                             deadline);
+            if (poll.timed_out)
                 return false;
-            backoff(ctx, &b, params_.tatas.factor, params_.tatas.cap,
-                    params_.jitter, obs::BackoffClass::Generic);
-            if (ctx.load(word_) != 0)
-                continue;
-            if (ctx.tas(word_) == 0)
-                return true;
         }
-    }
-
-    /** Timed out with nothing left behind: account and probe. */
-    bool
-    abandon(Ctx& ctx)
-    {
-        counters_.on_abandon();
-        obs::probe(ctx, obs::LockEvent::AbandonStart, word_.token());
-        obs::probe(ctx, obs::LockEvent::AbandonDone, word_.token(),
-                   static_cast<std::uint64_t>(obs::AbandonOutcome::Clean));
-        return false;
+        return true;
     }
 
     Ref word_;
     Ref mode_;
-    McsLock<Ctx> queue_;
+    Queue queue_;
     LockParams params_;
     AbandonCounters counters_;
     // Holder-only adaptation state, protected by the lock itself.

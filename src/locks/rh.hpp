@@ -143,7 +143,9 @@ class RhLock
     /**
      * Node-winner loop: our own word already carries our id; spin on the
      * other node's word with a large backoff until we can move the lock
-     * over (marking the other word REMOTE).
+     * over (marking the other word REMOTE). A holder's id is polled until
+     * it changes; each L_FREE poll is one round, so that every L_FREE
+     * read counts toward the patience.
      */
     void
     remote_spin(Ctx& ctx, int other)
@@ -151,15 +153,17 @@ class RhLock
         const Ref word = flag_[static_cast<std::size_t>(other)];
         std::uint32_t b = params_.rh_remote_base;
         std::uint32_t lfree_seen = 0;
+        // Read first so a hopeless cas does not bounce the line.
+        std::uint64_t w = ctx.load(word);
         while (true) {
-            // Read first so a hopeless cas does not bounce the line.
-            const std::uint64_t w = ctx.load(word);
             if (w == kFreeValue) {
                 if (ctx.cas(word, kFreeValue, kRemote) == kFreeValue)
                     return; // global release claimed
+                w = ctx.load(word);
                 continue;
             }
-            if (w == kLocalFree) {
+            const bool lfree = w == kLocalFree;
+            if (lfree) {
                 // The other node prefers a neighbor; steal only after
                 // showing some patience (this is where RH trades fairness
                 // for locality).
@@ -169,8 +173,10 @@ class RhLock
             } else {
                 lfree_seen = 0;
             }
-            backoff(ctx, &b, 2, params_.rh_remote_cap, params_.jitter,
-                    obs::BackoffClass::Remote);
+            w = backoff_poll(ctx, word, w, &b, 2, params_.rh_remote_cap,
+                             params_.jitter, obs::BackoffClass::Remote,
+                             lfree ? 1 : kUnlimitedPolls)
+                    .value;
         }
     }
 

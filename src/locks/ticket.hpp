@@ -7,6 +7,10 @@
 #ifndef NUCALOCK_LOCKS_TICKET_HPP
 #define NUCALOCK_LOCKS_TICKET_HPP
 
+#include <algorithm>
+#include <cstdint>
+
+#include "locks/backoff.hpp"
 #include "locks/context.hpp"
 #include "locks/params.hpp"
 #include "obs/probe.hpp"
@@ -41,20 +45,18 @@ class TicketLock
             if (ctx.cas(next_, my, my + 1) == my)
                 break;
         }
-        while (true) {
-            const std::uint64_t serving = ctx.load(serving_);
-            if (serving == my) {
-                obs::probe(ctx, obs::LockEvent::Acquired, next_.token());
-                return;
-            }
+        std::uint64_t serving = ctx.load(serving_);
+        while (serving != my) {
             // Proportional backoff: the further back in line, the longer
-            // the wait before polling again.
-            const std::uint64_t d = (my - serving) * delay_per_waiter_;
-            obs::probe(ctx, obs::LockEvent::BackoffBegin, next_.token(), d,
-                       static_cast<std::uint64_t>(obs::BackoffClass::Generic));
-            ctx.delay(d);
-            obs::probe(ctx, obs::LockEvent::BackoffEnd, next_.token());
+            // the wait before polling again. A constant delay (factor 1,
+            // capped at itself, no jitter) while serving_ reads the same.
+            auto d = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                (my - serving) * delay_per_waiter_, UINT32_MAX));
+            serving = backoff_poll(ctx, serving_, serving, &d, 1, d,
+                                   /*jitter=*/false)
+                          .value;
         }
+        obs::probe(ctx, obs::LockEvent::Acquired, next_.token());
     }
 
     bool

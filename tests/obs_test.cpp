@@ -791,9 +791,11 @@ expect_probe_neutral(LockKind kind, const NewBenchConfig& config,
 bool
 polls(LockKind kind)
 {
-    return kind == LockKind::TatasExp || kind == LockKind::Rh ||
-           kind == LockKind::Hbo || kind == LockKind::HboGt ||
-           kind == LockKind::HboGtSd || kind == LockKind::HboHier;
+    return kind == LockKind::TatasExp || kind == LockKind::Ticket ||
+           kind == LockKind::Rh || kind == LockKind::Hbo ||
+           kind == LockKind::HboGt || kind == LockKind::HboGtSd ||
+           kind == LockKind::HboHier || kind == LockKind::Reactive ||
+           kind == LockKind::Cohort || kind == LockKind::Adaptive;
 }
 
 /**
@@ -808,7 +810,7 @@ TEST(ProbeNeutrality, SimRunIsBitIdenticalWithProbesOn)
           LockKind::Anderson, LockKind::Mcs, LockKind::Clh, LockKind::Rh,
           LockKind::Hbo, LockKind::HboGt, LockKind::HboGtSd,
           LockKind::HboHier, LockKind::Reactive, LockKind::Cohort,
-          LockKind::ClhTry}) {
+          LockKind::ClhTry, LockKind::Adaptive}) {
         MetricsRegistry reg;
         const BenchResult bare = expect_probe_neutral(kind, small_config(7), reg);
         if (polls(kind))
@@ -894,18 +896,19 @@ class CountingSink final : public ProbeSink
 /**
  * The lazy-vs-literal differential: forty configurations drawn from a
  * fixed seed, each run bare (lazy polls) and with a sink (the literal
- * loops), must give the same simulated run. Each draws a lock (the six
- * polling locks, and TATAS as a control that never polls), a shape,
- * critical and private work, preemption on or off, and a seed. Two of
- * the shapes have two chips per node, so HBO_HIER's same-node,
+ * loops), must give the same simulated run. The locks take turns (the ten
+ * polling locks, and TATAS as a control that never polls); each draws a
+ * shape, critical and private work, preemption on or off, and a seed. Two
+ * of the shapes have two chips per node, so HBO_HIER's same-node,
  * other-chip level is compared too.
  */
 TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
 {
-    const LockKind kinds[] = {LockKind::TatasExp, LockKind::Rh,
-                              LockKind::Hbo,      LockKind::HboGt,
-                              LockKind::HboGtSd,  LockKind::HboHier,
-                              LockKind::Tatas};
+    const LockKind kinds[] = {
+        LockKind::TatasExp, LockKind::Ticket,   LockKind::Rh,
+        LockKind::Hbo,      LockKind::HboGt,    LockKind::HboGtSd,
+        LockKind::HboHier,  LockKind::Reactive, LockKind::Cohort,
+        LockKind::Adaptive, LockKind::Tatas};
     const Topology shapes[] = {Topology::symmetric(1, 4),
                                Topology::symmetric(2, 14),
                                Topology::hierarchical(2, 2, 4),
@@ -915,8 +918,8 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
     const std::uint32_t priv[] = {0, 200, 800, 4000};
     Xoshiro256 rng(20030208);
     int hier_on_chips = 0;
-    for (int i = 0; i < 40; ++i) {
-        const LockKind kind = kinds[rng.next_below(std::size(kinds))];
+    for (std::size_t i = 0; i < 40; ++i) {
+        const LockKind kind = kinds[i % std::size(kinds)];
         NewBenchConfig config;
         // RH is a two-node lock.
         config.topology = shapes[rng.next_below(kind == LockKind::Rh ? 3 : 5)];

@@ -439,11 +439,6 @@ main(int argc, char** argv)
                          "under nucabench\n";
             return 2;
         }
-        if (!opts.memtrace.empty()) {
-            std::cerr << "error: --memtrace is not supported with "
-                         "--bench=app\n";
-            return 2;
-        }
     }
 
     const std::vector<LockKind> kinds = selected_locks(opts);
