@@ -67,13 +67,13 @@ inline constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
  * run: the poll ends timed out.
  *
  * The loop below is the definition. It runs natively, and on the
- * simulator under a finite @p max_polls or @p deadline or whenever a
- * Scheduler, FaultInjector, probe sink, memtrace hook or armed watchdog
- * is installed. Otherwise the simulator parks the thread while its
- * cached copy of the word is valid (SimContext::lazy_backoff_poll) and
- * rolls the rounds it would spin through forward when another cpu
- * writes the word: every pick, event, random draw and result is the
- * same.
+ * simulator whenever a Scheduler, FaultInjector, probe sink, memtrace
+ * hook or armed watchdog is installed. Otherwise the simulator parks the
+ * thread while its cached copy of the word is valid
+ * (SimContext::lazy_backoff_poll) and rolls the rounds it would spin
+ * through forward when another cpu writes the word, or when the poll
+ * reaches its round limit or deadline with the word unwritten: every
+ * pick, event, random draw and result is the same.
  */
 template <LockContext Ctx>
 PollResult
@@ -84,11 +84,10 @@ backoff_poll(Ctx& ctx, typename Ctx::Ref word, std::uint64_t held,
              std::uint64_t deadline = kNoDeadline)
 {
     if constexpr (requires { ctx.can_park_polls(); }) {
-        if (max_polls == kUnlimitedPolls && deadline == kNoDeadline &&
-            ctx.can_park_polls()) {
-            const auto r =
-                ctx.lazy_backoff_poll(word, held, b, factor, cap, jitter);
-            return PollResult{r.value, r.polls};
+        if (ctx.can_park_polls()) {
+            const auto r = ctx.lazy_backoff_poll(word, held, b, factor, cap,
+                                                 jitter, max_polls, deadline);
+            return PollResult{r.value, r.polls, r.timed_out};
         }
     }
     PollResult r{held, 0};

@@ -117,9 +117,11 @@ SimContext::delay_ns(SimTime ns)
 SimContext::PollOutcome
 SimContext::lazy_backoff_poll(Ref word, std::uint64_t held, std::uint32_t* b,
                               std::uint32_t factor, std::uint32_t cap,
-                              bool jitter)
+                              bool jitter, std::uint64_t max_polls,
+                              std::uint64_t deadline)
 {
-    return machine_->lazy_poll(*this, word, held, b, factor, cap, jitter);
+    return machine_->lazy_poll(*this, word, held, b, factor, cap, jitter,
+                               max_polls, deadline);
 }
 
 void
@@ -274,20 +276,25 @@ SimMachine::current()
     return *threads_[static_cast<std::size_t>(current_tid_)];
 }
 
+[[gnu::always_inline]] inline SimTime
+SimMachine::preempt(SimTime wake, Xoshiro256& rng, SimTime& next_preempt) const
+{
+    if (wake < next_preempt)
+        return wake;
+    wake += cfg_.preempt_duration;
+    const double u = rng.next_double();
+    next_preempt = wake + static_cast<SimTime>(
+                              -std::log(1.0 - u) *
+                              static_cast<double>(cfg_.preempt_mean_interval));
+    return wake;
+}
+
 SimTime
 SimMachine::apply_preemption(SimThread& thr, SimTime wake)
 {
     if (!cfg_.preemption)
         return wake;
-    if (wake < thr.next_preempt)
-        return wake;
-    wake += cfg_.preempt_duration;
-    const double u = thr.ctx.rng_.next_double();
-    thr.next_preempt =
-        wake + static_cast<SimTime>(
-                   -std::log(1.0 - u) *
-                   static_cast<double>(cfg_.preempt_mean_interval));
-    return wake;
+    return preempt(wake, thr.ctx.rng_, thr.next_preempt);
 }
 
 SimTime
@@ -310,10 +317,10 @@ SimMachine::wake_at(int tid, SimTime t)
 }
 
 [[gnu::always_inline]] inline bool
-SimMachine::run_ahead_or_queue(int tid, SimTime t)
+SimMachine::run_ahead_or_queue(int tid, SimTime wake)
 {
     ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
-    hot.wake = wake_at(tid, t);
+    hot.wake = wake;
     hot.state = ThreadState::Runnable;
     // The running thread is not in the ready queue. While it is still the
     // earliest event it keeps running on its own stack, and the queue is
@@ -343,40 +350,97 @@ SimMachine::block_until(SimContext& ctx, SimTime t)
         return;
     }
     NUCA_ASSERT(ctx.tid_ == current_tid_, "block from non-current thread");
-    if (!run_ahead_or_queue(ctx.tid_, t))
+    if (!run_ahead_or_queue(ctx.tid_, wake_at(ctx.tid_, t)))
         dispatch();
 }
 
-SimTime
-SimMachine::backoff_end(PollState& p, SimTime start)
+[[gnu::always_inline]] inline SimMachine::PollRoll
+SimMachine::load_roll(const PollState& p)
 {
-    // locks::backoff()'s delay and growth, in its order: the jitter draw
-    // comes before the block's preemption draw.
-    const std::uint64_t d = backoff_delay(p.ctx->rng_, p.b, p.jitter);
-    p.b = std::min(p.b * p.factor, p.cap);
-    p.stage = PollStage::Backoff;
-    return start + d * lat_.ns_per_delay_iteration;
+    return PollRoll{.rng = p.thr->ctx.rng_,
+                    .at = p.at,
+                    .next_preempt = p.thr->next_preempt,
+                    .polls = p.polls,
+                    .b = p.b,
+                    .stage = p.stage};
+}
+
+[[gnu::always_inline]] inline void
+SimMachine::store_roll(PollState& p, const PollRoll& r)
+{
+    p.thr->ctx.rng_ = r.rng;
+    p.thr->next_preempt = r.next_preempt;
+    p.at = r.at;
+    p.polls = r.polls;
+    p.b = r.b;
+    p.stage = r.stage;
+}
+
+[[gnu::always_inline]] inline void
+SimMachine::backoff_step(const PollState& p, PollRoll& r) const
+{
+    const std::uint64_t d = backoff_delay(r.rng, r.b, p.jitter);
+    r.b = std::min(r.b * p.factor, p.cap);
+    r.stage = PollStage::Backoff;
+    const SimTime end = r.at + d * lat_.ns_per_delay_iteration;
+    r.at = cfg_.preemption ? preempt(end, r.rng, r.next_preempt) : end;
+}
+
+[[gnu::always_inline]] inline void
+SimMachine::hit_step(PollRoll& r) const
+{
+    ++r.polls;
+    r.stage = PollStage::Reload;
+    const SimTime end = r.at + lat_.issue + lat_.cache_hit;
+    r.at = cfg_.preemption ? preempt(end, r.rng, r.next_preempt) : end;
+}
+
+[[gnu::always_inline]] inline void
+SimMachine::poll_step(const PollState& p, PollRoll& r) const
+{
+    if (r.stage == PollStage::Reload)
+        backoff_step(p, r);
+    else
+        hit_step(r);
 }
 
 SimContext::PollOutcome
 SimMachine::lazy_poll(SimContext& ctx, MemRef word, std::uint64_t held,
                       std::uint32_t* b, std::uint32_t factor,
-                      std::uint32_t cap, bool jitter)
+                      std::uint32_t cap, bool jitter, std::uint64_t max_polls,
+                      std::uint64_t deadline)
 {
     NUCA_ASSERT(parks_polls_ && ctx.tid_ == current_tid_,
                 "lazy poll outside a timed run's current thread");
+    constexpr std::uint64_t kNone = ~std::uint64_t{0};
     const int tid = ctx.tid_;
     PollState& p = polls_[static_cast<std::size_t>(tid)];
-    p = PollState{.ctx = &ctx,
+    p = PollState{.thr = threads_[static_cast<std::size_t>(tid)].get(),
+                  .at = now_,
+                  .max_polls = std::max<std::uint64_t>(max_polls, 1),
+                  .deadline = deadline,
                   .b = *b,
                   .factor = factor,
                   .cap = cap,
                   .jitter = jitter,
+                  .bounded = max_polls != kNone || deadline != kNone,
                   .stage = PollStage::Reload};
     ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
     while (true) {
-        if (p.stage == PollStage::Reload)
-            block_until(ctx, backoff_end(p, now_));
+        if (p.stage == PollStage::Reload) {
+            // A reload read `held` and ended now (or the poll starts):
+            // end the poll where backoff_poll()'s loop does, or back off.
+            if (p.polls >= p.max_polls || now_ >= p.deadline) {
+                *b = p.b;
+                return SimContext::PollOutcome{held, p.polls,
+                                               p.polls < p.max_polls};
+            }
+            PollRoll r = load_roll(p);
+            backoff_step(p, r);
+            store_roll(p, r);
+            if (!run_ahead_or_queue(tid, r.at))
+                dispatch();
+        }
         // The backoff is over: reload the word.
         const AccessOutcome out =
             access_core(ctx, hot, MemOp::Load, word, 0, 0);
@@ -386,20 +450,71 @@ SimMachine::lazy_poll(SimContext& ctx, MemRef word, std::uint64_t held,
             *b = p.b;
             return SimContext::PollOutcome{out.old_value, p.polls};
         }
+        p.stage = PollStage::Reload;
+        p.at = wake_at(tid, out.complete);
+        if (p.polls >= p.max_polls || p.at >= p.deadline) {
+            // The poll's last round: it ends when this reload does.
+            if (!run_ahead_or_queue(tid, p.at))
+                dispatch();
+            continue;
+        }
         // The reload read `held`, and this cpu's copy of the line stays
         // valid until another cpu writes it. Until then every reload hits,
         // so park on the line: that write unparks the poll (unpark_poll),
-        // and the fiber resumes at the end of the stage then in flight.
-        p.stage = PollStage::Reload;
-        hot.wake = wake_at(tid, out.complete);
+        // and the fiber resumes at the end of the stage then in flight. A
+        // bounded poll also waits in the ready queue for its end.
         const bool watching = memory_.watch(word, tid, held);
         NUCA_ASSERT(watching, "a poll parked on a changed word");
         hot.state = ThreadState::Waiting;
         hot.waiting_line = word.line;
         hot.lazy = true;
         ++parked_polls_;
-        dispatch();
+        do {
+            if (p.bounded)
+                queue_key(tid);
+            dispatch();
+        } while (hot.lazy && !reach_key(tid, word));
     }
+}
+
+void
+SimMachine::queue_key(int tid)
+{
+    PollState& p = polls_[static_cast<std::size_t>(tid)];
+    PollRoll r = load_roll(p);
+    std::uint32_t steps = 0;
+    for (; steps < kPollLookahead && !poll_over(p, r); ++steps)
+        poll_step(p, r);
+    p.key_steps = steps;
+    hot_[static_cast<std::size_t>(tid)].wake = r.at;
+    ready_.push_or_update(tid, r.at);
+}
+
+bool
+SimMachine::reach_key(int tid, MemRef word)
+{
+    PollState& p = polls_[static_cast<std::size_t>(tid)];
+    PollRoll r = load_roll(p);
+    for (std::uint32_t i = 0; i < p.key_steps; ++i)
+        poll_step(p, r);
+    NUCA_ASSERT(r.at == now_, "a poll reached its key at ", r.at,
+                " ns, picked at ", now_, " ns");
+    const bool end = poll_over(p, r);
+    if (!end)
+        poll_step(p, r); // the stage this checkpoint's pick starts
+    memory_.count_skipped_hits(r.polls - p.polls);
+    store_roll(p, r);
+    fiber_switches_ += p.key_steps;
+    lazy_picks_ += p.key_steps;
+    if (end) {
+        memory_.unwatch(word, tid);
+        ThreadHot& hot = hot_[static_cast<std::size_t>(tid)];
+        hot.state = ThreadState::Runnable;
+        hot.waiting_line = MemRef::kInvalid;
+        hot.lazy = false;
+        --parked_polls_;
+    }
+    return end;
 }
 
 void
@@ -541,7 +656,7 @@ SimMachine::walk_access(SimContext& ctx, ThreadHot& hot, MemOp op, MemRef ref,
                         std::uint64_t a, bool& ahead)
 {
     const AccessOutcome out = access_core(ctx, hot, op, ref, a, 0);
-    if (!run_ahead_or_queue(ctx.tid_, out.complete)) {
+    if (!run_ahead_or_queue(ctx.tid_, wake_at(ctx.tid_, out.complete))) {
         // Other threads run next: their transactions are not the line's.
         memory_.drop_line();
         ahead = false;
@@ -613,25 +728,30 @@ SimMachine::unpark_poll(int tid, SimTime t, int by)
     --parked_polls_;
     // Until (t, by) nothing the poller reads has changed, so its stages
     // depend on its own state alone: the draws from its generator (the
-    // jitter, then preemption through wake_at) and the fixed latency of a
-    // reload that hits in its cache.
-    const SimTime hit = lat_.issue + lat_.cache_hit;
+    // jitter, then preemption) and the fixed latency of a reload that
+    // hits in its cache. A bounded poll's key is not before (t, by), so
+    // neither is its end.
+    PollRoll r = load_roll(p);
+    const SimTime stop = t + (tid < by);
     std::uint64_t picks = 0;
-    std::uint64_t hits = 0;
-    while (hot.wake < t || (hot.wake == t && tid < by)) {
+    // poll_step() in pairs, so that each half knows its stage.
+    if (r.stage == PollStage::Backoff && r.at < stop) {
         ++picks;
-        if (p.stage == PollStage::Reload) {
-            hot.wake = wake_at(tid, backoff_end(p, hot.wake));
-        } else {
-            ++hits;
-            p.stage = PollStage::Reload;
-            hot.wake = wake_at(tid, hot.wake + hit);
-        }
+        hit_step(r);
     }
-    p.polls += hits;
+    while (r.at < stop) {
+        ++picks;
+        backoff_step(p, r);
+        if (r.at >= stop)
+            break;
+        ++picks;
+        hit_step(r);
+    }
+    memory_.count_skipped_hits(r.polls - p.polls);
+    store_roll(p, r);
+    hot.wake = r.at;
     fiber_switches_ += picks;
     lazy_picks_ += picks;
-    memory_.count_skipped_hits(hits);
 }
 
 void
@@ -828,8 +948,9 @@ SimMachine::dispatch()
     const int self = current_tid_;
     const int next_tid = pick_next();
     if (next_tid == self) {
-        // Faults installed: block_until queued this thread, and it is
-        // still the earliest event, so it keeps running.
+        // This thread is still the earliest event, so it keeps running:
+        // with faults installed, block_until queued it; or it parked a
+        // bounded poll whose key comes first.
         ++run_ahead_picks_;
         return;
     }

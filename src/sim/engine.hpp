@@ -122,6 +122,7 @@ class SimContext
     {
         std::uint64_t value = 0;
         std::uint64_t polls = 0;
+        bool timed_out = false;
     };
 
     /**
@@ -129,24 +130,31 @@ class SimContext
      * FaultInjector, probe sink or memtrace hook installed and no armed
      * watchdog. Each of those sees every backoff and load of a poll, or
      * every pick's time, so under them locks::backoff_poll() runs its
-     * literal loop.
+     * literal loop. Round limits and deadlines do not matter.
      */
     bool can_park_polls() const;
 
     /**
-     * locks::backoff_poll() with no round limit, run by the engine:
-     * repeat { backoff(*b); v = load(word); } while v == @p held, with the
-     * jitter drawn from rng(). The backoffs and reloads run on this
-     * thread's fiber, except that a reload reading @p held parks the
-     * thread: its copy of the line then stays valid until another cpu
+     * locks::backoff_poll(), run by the engine: repeat { backoff(*b);
+     * v = load(word); } while v == @p held, at most @p max_polls rounds
+     * (at least one), with no round starting at or past @p deadline, and
+     * the jitter drawn from rng(). ~0 means no limit and no deadline. The
+     * backoffs and reloads run on this thread's fiber, except that a
+     * reload reading @p held parks the thread unless it is the poll's last
+     * round: its copy of the line then stays valid until another cpu
      * writes it, so its next backoffs and cache-hit reloads depend on its
      * own state alone. That write rolls them forward and queues the
-     * thread where the literal loop would be. Same picks, events, draws
-     * and result as the literal loop. Only when can_park_polls().
+     * thread where the literal loop would be. A poll with a limit or a
+     * deadline is also queued at the end it reaches if no write comes, or
+     * at a checkpoint on the way to it (SimMachine::kPollLookahead). Same
+     * picks, events, draws and result as the literal loop. Only when
+     * can_park_polls().
      */
     PollOutcome lazy_backoff_poll(Ref word, std::uint64_t held,
                                   std::uint32_t* b, std::uint32_t factor,
-                                  std::uint32_t cap, bool jitter);
+                                  std::uint32_t cap, bool jitter,
+                                  std::uint64_t max_polls,
+                                  std::uint64_t deadline);
 
     /**
      * Read (and, when @p write, also increment) @p count consecutive words
@@ -395,6 +403,8 @@ class SimMachine
         Done,
     };
 
+    struct SimThread;
+
     /**
      * Hot per-thread scheduling state, packed into a dense array indexed by
      * tid. Every event touches (wake, state, fiber); keeping those in a
@@ -420,13 +430,15 @@ class SimMachine
          *  in its acquire spin). */
         bool handover_pending = false;
         /** The thread is parked in a lazy backoff poll: Waiting on the
-         *  polled line, outside the ready queue, with `wake` the end of
-         *  the poll's stage in flight. A write by another cpu rolls the
-         *  poll forward (unpark_poll) instead of waking the thread. */
+         *  polled line. A write by another cpu rolls the poll forward
+         *  (unpark_poll) instead of waking the thread. A poll with no
+         *  round limit or deadline is outside the ready queue; a bounded
+         *  one is in it, with `wake` its end or a checkpoint (queue_key).
+         *  The roll's cursor is PollState::at. */
         bool lazy = false;
     };
 
-    /** Which stage of a lazy poll ends at the thread's wake. */
+    /** Which stage of a lazy poll ends at PollState::at. */
     enum class PollStage : std::uint8_t
     {
         Backoff, // then reload the word
@@ -434,20 +446,52 @@ class SimMachine
     };
 
     /**
-     * What unpark_poll() needs of a lazy backoff poll: its backoff
-     * arguments, its progress, and the stage in flight. Kept by tid in
-     * polls_, next to hot_, and live for the length of the call.
+     * A lazy backoff poll: its backoff arguments, its bounds, its progress
+     * and the stage in flight. Kept by tid in polls_, next to hot_, and
+     * live for the length of the call.
      */
     struct PollState
     {
-        SimContext* ctx = nullptr;
+        SimThread* thr = nullptr;
+        /** The end of the stage in flight: the roll's cursor. */
+        SimTime at = 0;
         std::uint64_t polls = 0;
+        std::uint64_t max_polls = 0;
+        std::uint64_t deadline = 0;
         std::uint32_t b = 0;
         std::uint32_t factor = 0;
         std::uint32_t cap = 0;
+        /** Stages from `at` to the queue key (bounded polls, parked). */
+        std::uint32_t key_steps = 0;
         bool jitter = false;
+        /** A finite max_polls or deadline: the poll ends by itself. */
+        bool bounded = false;
         PollStage stage = PollStage::Backoff;
     };
+
+    /**
+     * A poll's progress in registers, for the one stage step
+     * (poll_step) that rolls it forward, looks ahead to its end and
+     * backs off on its fiber: copies of the poller's generator and
+     * next_preempt and of the PollState fields that a stage changes.
+     * A roll writes it back once (store_roll); a lookahead drops it.
+     */
+    struct PollRoll
+    {
+        Xoshiro256 rng;
+        SimTime at;
+        SimTime next_preempt;
+        std::uint64_t polls;
+        std::uint32_t b;
+        PollStage stage;
+    };
+
+    /**
+     * The most stages a bounded poll's lookahead runs when it parks. An
+     * end further away is keyed at a checkpoint this many stages on,
+     * where the poll rolls forward and looks ahead again.
+     */
+    static constexpr std::uint32_t kPollLookahead = 64;
 
     /**
      * Start pulling a suspended thread's host-side resume state into cache
@@ -540,18 +584,58 @@ class SimMachine
     SimContext::PollOutcome lazy_poll(SimContext& ctx, MemRef word,
                                       std::uint64_t held, std::uint32_t* b,
                                       std::uint32_t factor, std::uint32_t cap,
-                                      bool jitter);
+                                      bool jitter, std::uint64_t max_polls,
+                                      std::uint64_t deadline);
 
-    /** Draw the next backoff of @p p, starting at @p start, and grow its
-     *  b; the time it ends. */
-    SimTime backoff_end(PollState& p, SimTime start);
+    /** @p p's progress, with its thread's generator and next_preempt. */
+    static PollRoll load_roll(const PollState& p);
+
+    /** Write a roll back into @p p and its thread. */
+    static void store_roll(PollState& p, const PollRoll& r);
+
+    /**
+     * The stage after the one ending at r.at: a reload's end draws the
+     * next backoff and grows b (locks::backoff(), jitter first); a
+     * backoff's end is a reload that hits in the poller's cache. Then
+     * apply_preemption's draw, and r.at is the new stage's end.
+     */
+    void poll_step(const PollState& p, PollRoll& r) const;
+
+    /** poll_step() at a reload's end: the backoff. */
+    void backoff_step(const PollState& p, PollRoll& r) const;
+
+    /** poll_step() at a backoff's end: the reload, a hit. */
+    void hit_step(PollRoll& r) const;
+
+    /** Whether the poll is over at r.at: backoff_poll()'s loop
+     *  conditions after a reload that read `held`, in its order. */
+    static bool
+    poll_over(const PollState& p, const PollRoll& r)
+    {
+        return r.stage == PollStage::Reload &&
+               (r.polls >= p.max_polls || r.at >= p.deadline);
+    }
+
+    /**
+     * Queue @p tid's parked bounded poll at its key: the end of the
+     * stage where it is over, when the lookahead reaches it within
+     * kPollLookahead stages, or else a checkpoint that many stages on.
+     */
+    void queue_key(int tid);
+
+    /**
+     * A parked bounded poll picked at its key: roll it forward to now_
+     * as lazy picks (this pick is counted already). At its end, take it
+     * off the line's watcher list and unpark it, and return true; at a
+     * checkpoint, run the stage that starts there and return false.
+     */
+    bool reach_key(int tid, MemRef word);
 
     /**
      * End @p tid's parked poll: run, as lazy picks, the stages that the
-     * (wake, tid) order puts before (@p t, @p by). A reload's end draws
-     * the next backoff; a backoff's end is a reload that hits in the
-     * poller's cache. Leaves `wake` at the end of the first stage after
-     * (t, by), for the caller to queue the thread there.
+     * (wake, tid) order puts before (@p t, @p by). Leaves `wake` at the
+     * end of the first stage after (t, by), for the caller to queue the
+     * thread there.
      */
     void unpark_poll(int tid, SimTime t, int by);
 
@@ -569,12 +653,13 @@ class SimMachine
     SimTime wake_at(int tid, SimTime t);
 
     /**
-     * Timed mode: block the current thread @p tid until @p t. While it is
-     * still the earliest event (ties broken by tid, as in the queue) it
-     * runs ahead: the pick is counted, the clock advanced, and true
-     * returned. Otherwise it is queued, and the caller must dispatch().
+     * Timed mode: block the current thread @p tid until @p wake, a time
+     * that wake_at() has disturbed already. While it is still the
+     * earliest event (ties broken by tid, as in the queue) it runs ahead:
+     * the pick is counted, the clock advanced, and true returned.
+     * Otherwise it is queued, and the caller must dispatch().
      */
-    bool run_ahead_or_queue(int tid, SimTime t);
+    bool run_ahead_or_queue(int tid, SimTime wake);
 
     /**
      * Controlled mode: advertise the thread's next operation and yield to
@@ -607,10 +692,12 @@ class SimMachine
 
     /**
      * Timed mode, called on the current thread's fiber when it cannot run
-     * ahead: after run_ahead_or_queue() queued it, or wait_on() parked it.
-     * pick_next(), then switch straight into the picked fiber — or keep
-     * running when the pick is this thread, a run-ahead. That happens only
-     * with faults installed: block_until() then always queues it.
+     * ahead: after run_ahead_or_queue() queued it, or wait_on() or a lazy
+     * poll parked it. pick_next(), then switch straight into the picked
+     * fiber — or keep running when the pick is this thread, a run-ahead.
+     * That happens with faults installed, where block_until() always
+     * queues it, and when a parked bounded poll's key is the earliest
+     * event.
      */
     void dispatch();
 
@@ -647,6 +734,11 @@ class SimMachine
 
     /** Apply preemption injection to a wake time. */
     SimTime apply_preemption(SimThread& thr, SimTime wake);
+
+    /** apply_preemption() on a thread's generator @p rng and its
+     *  @p next_preempt, with preemption on. */
+    SimTime preempt(SimTime wake, Xoshiro256& rng,
+                    SimTime& next_preempt) const;
 
     /** Apply configured preemption plus injected stalls to a wake time. */
     SimTime disturb_wake(SimThread& thr, SimTime wake);

@@ -541,6 +541,29 @@ SimMemory::take_watchers(MemRef ref, std::vector<int>& out)
 }
 
 void
+SimMemory::unwatch(MemRef ref, int tid)
+{
+    Line& line = line_of(ref);
+    NUCA_ASSERT(tid >= 0 &&
+                    static_cast<std::size_t>(tid) < watcher_line_.size() &&
+                    watcher_line_[static_cast<std::size_t>(tid)] == ref.line,
+                "thread ", tid, " does not watch line ", ref.line);
+    std::int32_t prev = -1;
+    for (std::int32_t w = line.watcher_head; w != tid;
+         w = watcher_next_[static_cast<std::size_t>(w)])
+        prev = w;
+    const std::int32_t next = watcher_next_[static_cast<std::size_t>(tid)];
+    if (prev == -1)
+        line.watcher_head = next;
+    else
+        watcher_next_[static_cast<std::size_t>(prev)] = next;
+    if (line.watcher_tail == tid)
+        line.watcher_tail = prev;
+    watcher_next_[static_cast<std::size_t>(tid)] = -1;
+    watcher_line_[static_cast<std::size_t>(tid)] = MemRef::kInvalid;
+}
+
+void
 SimMemory::mark_node_gate(MemRef ref)
 {
     line_of(ref).is_gate = true;

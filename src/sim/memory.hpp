@@ -159,6 +159,13 @@ class SimMemory
     void take_watchers(MemRef ref, std::vector<int>& out);
 
     /**
+     * Remove @p tid from @p ref's watchers, keeping the others in
+     * registration order: a parked backoff poll that ended by itself
+     * (SimMachine). Aborts unless @p tid watches @p ref.
+     */
+    void unwatch(MemRef ref, int tid);
+
+    /**
      * First watcher tid of @p ref, or -1 when nobody watches it. Pure
      * read, used by the engine to start prefetching the would-be-woken
      * thread's host-side state (ThreadHot, fiber, stack) before the

@@ -444,11 +444,13 @@ TEST(Engine, LazyPollSkipsTheHitPicks)
     EXPECT_EQ(m.run_ahead_picks(), 0u);
 }
 
-TEST(Engine, DeadlinePollRunsTheLiteralLoop)
+TEST(Engine, DeadlinePollMatchesTheLiteralLoop)
 {
-    // A finite deadline makes the poll run its literal loop: no lazy
-    // picks, and the same run as the sink-forced one. This deadline falls
-    // after the store, so it ends nothing.
+    // A finite deadline parks the poll like an unbounded one, and the run
+    // is the sink-forced one. This deadline falls after the store, so it
+    // ends nothing: the poll parks at 413, is queued at its end, and the
+    // store unparks it first. The same 3 lazy picks and no run-ahead as
+    // LazyPollSkipsTheHitPicks.
     SimMachine m(Topology::symmetric(1, 2));
     locks::PollResult poll;
     std::uint32_t b = 0;
@@ -460,7 +462,8 @@ TEST(Engine, DeadlinePollRunsTheLiteralLoop)
     EXPECT_EQ(b, 64u);
     EXPECT_EQ(m.now(), 1491u);
     EXPECT_EQ(m.fiber_switches(), 10u);
-    EXPECT_EQ(m.lazy_picks(), 0u);
+    EXPECT_EQ(m.lazy_picks(), 3u);
+    EXPECT_EQ(m.run_ahead_picks(), 0u);
 
     SimMachine literal(Topology::symmetric(1, 2));
     CountingSink sink;
@@ -474,12 +477,13 @@ TEST(Engine, DeadlinePollRunsTheLiteralLoop)
     EXPECT_EQ(literal_poll.polls, poll.polls);
     EXPECT_EQ(literal_b, b);
     EXPECT_EQ(literal.fiber_switches(), m.fiber_switches());
-    EXPECT_EQ(literal.run_ahead_picks(), m.run_ahead_picks());
+    EXPECT_EQ(literal.run_ahead_picks(), 3u);
     EXPECT_EQ(literal.lazy_picks(), 0u);
     EXPECT_EQ(literal.now(), m.now());
 
     // A deadline before the store: t0's first reload ends at 413, past
-    // it, so the poll ends there, timed out on the held value.
+    // it, so that reload is the poll's last round and does not park. The
+    // poll ends there, timed out on the held value.
     SimMachine early(Topology::symmetric(1, 2));
     locks::PollResult early_poll;
     std::uint32_t early_b = 0;
@@ -489,6 +493,200 @@ TEST(Engine, DeadlinePollRunsTheLiteralLoop)
     EXPECT_EQ(early_poll.polls, 1u);
     EXPECT_EQ(early_b, 16u);
     EXPECT_EQ(early.lazy_picks(), 0u);
+}
+
+/** What the bounded-poll tests compare between a run and its literal
+ *  twin, and the engine-path counts they do not. */
+struct BoundedPoll
+{
+    locks::PollResult poll;
+    std::uint32_t b = 0;
+    /** The poller's clock when the poll returned. */
+    SimTime returned = 0;
+    /** The poller's next draw after the poll. */
+    std::uint64_t next_draw = 0;
+    SimTime end = 0;
+    std::uint64_t picks = 0;
+    std::uint64_t accesses = 0;
+    std::uint64_t lazy = 0;
+    std::uint64_t run_ahead = 0;
+};
+
+/**
+ * A poller polls a held word (b from 64, factor 2, cap 256, jitter on)
+ * with @p max_polls and @p deadline, next to a thread that runs
+ * @p other unless it is empty. The poller is thread 0, or thread 1 when
+ * @p poller_second. With @p literal a sink forces the literal loop.
+ */
+BoundedPoll
+run_bounded_poll(bool literal, std::uint64_t max_polls,
+                 std::uint64_t deadline,
+                 const std::function<void(SimContext&, MemRef)>& other,
+                 bool poller_second = false, SimConfig cfg = SimConfig{})
+{
+    SimMachine m(Topology::symmetric(1, 2), LatencyModel::wildfire(), cfg);
+    CountingSink sink;
+    if (literal)
+        m.install_probe(&sink);
+    const MemRef word = m.alloc(1, 0);
+    BoundedPoll run;
+    const auto poller = [&](SimContext& ctx) {
+        run.b = 64;
+        run.poll = locks::backoff_poll(ctx, word, 1, &run.b, 2, 256, true,
+                                       obs::BackoffClass::Generic, max_polls,
+                                       deadline);
+        run.returned = ctx.now();
+        run.next_draw = ctx.rng().next();
+    };
+    const auto add_other = [&] {
+        if (other)
+            m.add_thread(poller_second ? 0 : 1,
+                         [&other, word](SimContext& ctx) { other(ctx, word); });
+    };
+    if (poller_second)
+        add_other();
+    m.add_thread(poller_second ? 1 : 0, poller);
+    if (!poller_second)
+        add_other();
+    m.run();
+    run.end = m.now();
+    run.picks = m.fiber_switches();
+    run.accesses = m.memory().num_accesses();
+    run.lazy = m.lazy_picks();
+    run.run_ahead = m.run_ahead_picks();
+    if (literal) {
+        EXPECT_GT(sink.events, 0u);
+    }
+    return run;
+}
+
+/** run_bounded_poll() parked and literal: the same poll and run. Returns
+ *  the parked run. */
+BoundedPoll
+expect_bounded_poll_is_literal(
+    std::uint64_t max_polls, std::uint64_t deadline,
+    const std::function<void(SimContext&, MemRef)>& other = {},
+    bool poller_second = false, SimConfig cfg = SimConfig{})
+{
+    const BoundedPoll lazy =
+        run_bounded_poll(false, max_polls, deadline, other, poller_second, cfg);
+    const BoundedPoll literal =
+        run_bounded_poll(true, max_polls, deadline, other, poller_second, cfg);
+    EXPECT_EQ(lazy.poll.value, literal.poll.value);
+    EXPECT_EQ(lazy.poll.polls, literal.poll.polls);
+    EXPECT_EQ(lazy.poll.timed_out, literal.poll.timed_out);
+    EXPECT_EQ(lazy.b, literal.b);
+    EXPECT_EQ(lazy.returned, literal.returned);
+    EXPECT_EQ(lazy.next_draw, literal.next_draw);
+    EXPECT_EQ(lazy.end, literal.end);
+    EXPECT_EQ(lazy.picks, literal.picks);
+    EXPECT_EQ(lazy.accesses, literal.accesses);
+    EXPECT_EQ(literal.lazy, 0u);
+    return lazy;
+}
+
+/** Stores 0 to the word at @p at. */
+std::function<void(SimContext&, MemRef)>
+store_at(SimTime at)
+{
+    return [at](SimContext& ctx, MemRef word) {
+        ctx.delay_ns(at - ctx.now());
+        ctx.store(word, 0);
+    };
+}
+
+TEST(Engine, RoundLimitedPollParksToItsLastRound)
+{
+    // Alone, the poll parks at its first reload and is queued at its end,
+    // the 5th reload's: one pick for it, the rest lazy.
+    const BoundedPoll run = expect_bounded_poll_is_literal(5, locks::kNoDeadline);
+    EXPECT_EQ(run.poll.value, 1u);
+    EXPECT_EQ(run.poll.polls, 5u);
+    EXPECT_FALSE(run.poll.timed_out);
+    EXPECT_EQ(run.b, 256u);
+    EXPECT_EQ(run.lazy, 8u);
+}
+
+TEST(Engine, RoundLimitBeyondTheLookaheadRollsThroughCheckpoints)
+{
+    // 300 rounds are 600 stages, past kPollLookahead: the poll is queued
+    // at checkpoints on the way to its end.
+    const BoundedPoll alone =
+        expect_bounded_poll_is_literal(300, locks::kNoDeadline);
+    EXPECT_EQ(alone.poll.polls, 300u);
+    EXPECT_EQ(alone.poll.value, 1u);
+    EXPECT_GT(alone.lazy, 500u);
+    // A store partway ends it on the new value, between checkpoints.
+    const BoundedPoll written =
+        expect_bounded_poll_is_literal(300, locks::kNoDeadline,
+                                       store_at(alone.returned / 3));
+    EXPECT_EQ(written.poll.value, 0u);
+    EXPECT_LT(written.poll.polls, 200u);
+    EXPECT_GT(written.poll.polls, 64u);
+    EXPECT_GT(written.lazy, 0u);
+}
+
+TEST(Engine, StoreAtABoundedPollsEndKeepsTheTidOrder)
+{
+    // The poll alone ends at E, its 8th reload's end. A store picked at
+    // exactly E by a lower tid comes first: it unparks the poll, which is
+    // queued at E and ends there. By a higher tid, the poll's end comes
+    // first, and the store finds no watcher. Either way the last reload
+    // was issued before the store and read the held value.
+    for (const bool writer_first : {true, false}) {
+        // The poller's tid seeds its generator, so E is found with the
+        // same tids.
+        const BoundedPoll alone = expect_bounded_poll_is_literal(
+            8, locks::kNoDeadline, [](SimContext&, MemRef) {}, writer_first);
+        const BoundedPoll run = expect_bounded_poll_is_literal(
+            8, locks::kNoDeadline, store_at(alone.returned), writer_first);
+        EXPECT_EQ(run.poll.value, 1u) << writer_first;
+        EXPECT_EQ(run.poll.polls, 8u) << writer_first;
+        EXPECT_EQ(run.returned, alone.returned) << writer_first;
+        EXPECT_EQ(run.lazy, 14u) << writer_first;
+    }
+}
+
+TEST(Engine, DeadlineInsideAParkedPollEndsItTimedOut)
+{
+    // The poll parks at its first reload; its end is the first reload's
+    // end at or past 5 us. No write comes, so it ends there, timed out.
+    const BoundedPoll run = expect_bounded_poll_is_literal(
+        locks::kUnlimitedPolls, 5'000);
+    EXPECT_TRUE(run.poll.timed_out);
+    EXPECT_EQ(run.poll.value, 1u);
+    EXPECT_GE(run.returned, 5'000u);
+    EXPECT_GT(run.lazy, 0u);
+    // A deadline 2 ms on, past kPollLookahead stages: checkpoints.
+    const BoundedPoll far = expect_bounded_poll_is_literal(
+        locks::kUnlimitedPolls, 2'000'000);
+    EXPECT_TRUE(far.poll.timed_out);
+    EXPECT_GT(far.poll.polls, 1'000u);
+    // With a limit too, whichever comes first ends the poll.
+    const BoundedPoll both = expect_bounded_poll_is_literal(4, 5'000);
+    EXPECT_FALSE(both.poll.timed_out);
+    EXPECT_EQ(both.poll.polls, 4u);
+}
+
+TEST(Engine, PreemptedBoundedPollDrawsAsTheLiteralLoop)
+{
+    // Preemption every ~3 us draws from the generator the jitter draws
+    // from, inside the lookahead, the checkpoints and the roll to a write.
+    SimConfig cfg;
+    cfg.preemption = true;
+    cfg.preempt_mean_interval = 3'000;
+    cfg.preempt_duration = 700;
+    const BoundedPoll limited = expect_bounded_poll_is_literal(
+        300, locks::kNoDeadline, {}, false, cfg);
+    EXPECT_EQ(limited.poll.polls, 300u);
+    EXPECT_GT(limited.lazy, 0u);
+    const BoundedPoll timed = expect_bounded_poll_is_literal(
+        locks::kUnlimitedPolls, 150'000, {}, false, cfg);
+    EXPECT_TRUE(timed.poll.timed_out);
+    const BoundedPoll written = expect_bounded_poll_is_literal(
+        300, 150'000, store_at(60'000), true, cfg);
+    EXPECT_EQ(written.poll.value, 0u);
+    EXPECT_FALSE(written.poll.timed_out);
 }
 
 /** Host-order (tid, now) points where thread bodies ran. */
@@ -825,15 +1023,17 @@ class CapturedStderr final
 
 /**
  * Two threads poll a held word until the 10 us time limit, next to a
- * third thread that runs @p third unless it is empty. Runs this lazy and
- * with a sink installed (the literal loops), and requires the same exit
- * code and, byte for byte, the same diagnosis.
+ * third thread that runs @p third unless it is empty. Each poller runs
+ * @p poll, or by default one poll with no round limit or deadline. Runs
+ * this lazy and with a sink installed (the literal loops), and requires
+ * the same exit code and, byte for byte, the same diagnosis.
  */
 void
 expect_literal_time_limit(
-    const std::function<void(SimContext&, MemRef)>& third)
+    const std::function<void(SimContext&, MemRef)>& third,
+    const std::function<void(SimContext&, MemRef)>& poll = {})
 {
-    const auto run = [&third](bool literal) {
+    const auto run = [&third, &poll](bool literal) {
         SimConfig cfg;
         cfg.max_sim_time = 10'000;
         SimMachine m(Topology::symmetric(1, 4), LatencyModel::wildfire(), cfg);
@@ -841,7 +1041,11 @@ expect_literal_time_limit(
         if (literal)
             m.install_probe(&sink);
         const MemRef word = m.alloc(1, 0);
-        const auto poll_forever = [word](SimContext& ctx) {
+        const auto poll_forever = [word, &poll](SimContext& ctx) {
+            if (poll) {
+                poll(ctx, word);
+                return;
+            }
             std::uint32_t b = 64;
             locks::backoff_poll(ctx, word, 1, &b, 2, 256, true);
         };
@@ -892,6 +1096,37 @@ TEST(EngineDeathTest, TimeLimitInsideALazyPollIsTheLiteralDiagnosis)
             ctx.delay_ns(700);
         }
     });
+}
+
+TEST(EngineDeathTest, TimeLimitInsideABoundedPollIsTheLiteralDiagnosis)
+{
+    // Polls of 3 rounds, one after another: each parks and is queued at
+    // its end, and the limit falls inside one of them.
+    const auto short_polls = [](SimContext& ctx, MemRef word) {
+        std::uint32_t b = 64;
+        while (true)
+            locks::backoff_poll(ctx, word, 1, &b, 2, 256, true,
+                                obs::BackoffClass::Generic, 3);
+    };
+    expect_literal_time_limit({}, short_polls);
+    // One poll whose limit and deadline lie far past the time limit: it is
+    // queued at checkpoints, and one of them lies past the limit.
+    const auto long_poll = [](SimContext& ctx, MemRef word) {
+        std::uint32_t b = 64;
+        locks::backoff_poll(ctx, word, 1, &b, 2, 256, true,
+                            obs::BackoffClass::Generic, 1u << 30, 1'000'000);
+    };
+    expect_literal_time_limit({}, long_poll);
+    // A thread whose failed cas takes the line every 700 ns, unparking
+    // both pollers each time.
+    expect_literal_time_limit(
+        [](SimContext& ctx, MemRef word) {
+            while (true) {
+                ctx.cas(word, 0, 2);
+                ctx.delay_ns(700);
+            }
+        },
+        short_polls);
 }
 
 TEST(EngineDeathTest, TimeLimitInsideAReplayedWalkIsTheLiteralDiagnosis)

@@ -256,6 +256,19 @@ TEST(MemoryDeathTest, BadRefPanics)
     EXPECT_DEATH(mem.peek(MemRef{}), "bad MemRef");
 }
 
+TEST(MemoryDeathTest, UnwatchingANonWatcherPanics)
+{
+    const Topology topo = Topology::symmetric(1, 4);
+    SimMemory mem(topo, LatencyModel::wildfire());
+    const MemRef a = mem.alloc(0, 0);
+    const MemRef b = mem.alloc(0, 0);
+    EXPECT_TRUE(mem.watch(a, 1, 0));
+    EXPECT_DEATH(mem.unwatch(a, 2), "thread 2 does not watch line");
+    EXPECT_DEATH(mem.unwatch(b, 1), "thread 1 does not watch line");
+    mem.unwatch(a, 1);
+    EXPECT_DEATH(mem.unwatch(a, 1), "thread 1 does not watch line");
+}
+
 TEST(LatencyModelTest, PresetRatios)
 {
     EXPECT_NEAR(LatencyModel::wildfire().nuca_ratio(), 3.5, 0.6);
@@ -312,6 +325,35 @@ TEST_F(MemoryTest, WatchersWakeInRegistrationOrder)
     std::vector<int> got;
     mem_.take_watchers(ref, got);
     EXPECT_EQ(got, (std::vector<int>{3, 1, 2}));
+}
+
+TEST_F(MemoryTest, UnwatchKeepsTheOthersWakeOrder)
+{
+    // Removing the head, a middle or the tail watcher leaves the others in
+    // registration order; the removed thread can watch again, last.
+    for (const int gone : {3, 1, 2, 4}) {
+        const MemRef ref = mem_.alloc(0, 0);
+        std::vector<int> expected;
+        for (const int tid : {3, 1, 2, 4}) {
+            EXPECT_TRUE(mem_.watch(ref, tid, 0));
+            if (tid != gone)
+                expected.push_back(tid);
+        }
+        mem_.unwatch(ref, gone);
+        EXPECT_EQ(mem_.first_watcher(ref), expected.front()) << gone;
+        EXPECT_TRUE(mem_.watch(ref, gone, 0));
+        expected.push_back(gone);
+        std::vector<int> got;
+        mem_.take_watchers(ref, got);
+        EXPECT_EQ(got, expected) << gone;
+    }
+    // The only watcher: the line is left with none, and a write wakes
+    // nobody.
+    const MemRef ref = mem_.alloc(0, 0);
+    EXPECT_TRUE(mem_.watch(ref, 5, 0));
+    mem_.unwatch(ref, 5);
+    EXPECT_EQ(mem_.first_watcher(ref), -1);
+    EXPECT_FALSE(mem_.access(MemOp::Store, 0, 0, ref, 1).wakes_watchers);
 }
 
 TEST_F(MemoryTest, FailedCasWakesWatchersToo)

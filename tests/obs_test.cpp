@@ -21,6 +21,7 @@
 #include "apps/kv_service.hpp"
 #include "common/rng.hpp"
 #include "harness/newbench.hpp"
+#include "harness/sim_run.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -822,8 +823,8 @@ TEST(ProbeNeutrality, SimRunIsBitIdenticalWithProbesOn)
 
 /** HBO_GT_SD at the Fig 5 shape (2x14, critical work 2500), long enough
  *  for node winners to get angry: the remote polls, which stop at the
- *  anger limit, run their literal loops; the angry ones, at the constant
- *  local base, park. */
+ *  anger limit, park and are queued at that limit; the angry ones, at the
+ *  constant local base, park too. */
 TEST(ProbeNeutrality, AngryHboGtSdAtTheFig5Shape)
 {
     NewBenchConfig config;
@@ -898,9 +899,11 @@ class CountingSink final : public ProbeSink
  * fixed seed, each run bare (lazy polls) and with a sink (the literal
  * loops), must give the same simulated run. The locks take turns (the ten
  * polling locks, and TATAS as a control that never polls); each draws a
- * shape, critical and private work, preemption on or off, and a seed. Two
- * of the shapes have two chips per node, so HBO_HIER's same-node,
- * other-chip level is compared too.
+ * shape, critical and private work, preemption on or off, and a seed.
+ * HBO_GT_SD also draws its anger limit: its remote polls have that round
+ * limit, and 1 << 30 keeps it out of reach, past the lookahead. Two of
+ * the shapes have two chips per node, so HBO_HIER's same-node, other-chip
+ * level is compared too.
  */
 TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
 {
@@ -916,6 +919,7 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
                                Topology::hierarchical(4, 2, 4)};
     const std::uint32_t critical[] = {0, 100, 500, 1500, 2500};
     const std::uint32_t priv[] = {0, 200, 800, 4000};
+    const std::uint32_t angry_limits[] = {1, 2, 16, 1u << 30};
     Xoshiro256 rng(20030208);
     int hier_on_chips = 0;
     for (std::size_t i = 0; i < 40; ++i) {
@@ -931,6 +935,9 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
         config.preempt_mean_interval = 20'000;
         config.preempt_duration = 5'000;
         config.seed = 1 + rng.next_below(1000);
+        if (kind == LockKind::HboGtSd)
+            config.params.get_angry_limit =
+                angry_limits[rng.next_below(std::size(angry_limits))];
         const std::string name =
             std::string(locks::lock_name(kind)) + " " +
             std::to_string(config.topology.num_nodes()) + "x" +
@@ -943,7 +950,10 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
             std::to_string(config.critical_work) + " pw " +
             std::to_string(config.private_work) +
             (config.preemption ? " preempted" : "") + " seed " +
-            std::to_string(config.seed);
+            std::to_string(config.seed) +
+            (kind == LockKind::HboGtSd
+                 ? " anger " + std::to_string(config.params.get_angry_limit)
+                 : "");
 
         const BenchResult lazy = run_newbench(kind, config);
         CountingSink sink;
@@ -959,6 +969,88 @@ TEST(LazyPolls, MatchTheLiteralLoopsOnRandomConfigs)
             ++hier_on_chips;
     }
     EXPECT_GT(hier_on_chips, 0);
+}
+
+/**
+ * @p config's threads each make 12 attempts at @p kind through
+ * acquire_for, with no FaultInjector, under a timeout drawn per attempt
+ * from 100 ns to 10 us. An attempt that times out is followed by a pause;
+ * one that acquires walks two lines. So the locks' deadline-bounded polls
+ * may park. Fills lock_timeouts.
+ */
+BenchResult
+run_timed_attempts(LockKind kind, const harness::SimRunConfig& config)
+{
+    harness::SimRun run(config);
+    locks::AnyLock<sim::SimContext> lock(run.machine(), kind, config.params);
+    const sim::MemRef cs = run.machine().alloc_array(2, 0, 0);
+    std::uint64_t timeouts = 0;
+    run.add_threads([&](sim::SimContext& ctx, int) {
+        ctx.delay(ctx.rng().next_below(801));
+        for (int attempt = 0; attempt < 12; ++attempt) {
+            ctx.cs_wait_begin();
+            if (!lock.acquire_for(ctx, 100 + ctx.rng().next_below(9'901))) {
+                ctx.cs_wait_abort();
+                ++timeouts;
+                ctx.delay(ctx.rng().next_below(400));
+                continue;
+            }
+            run.enter(ctx);
+            ctx.touch_array(cs, 2, true);
+            ctx.cs_exit();
+            lock.release(ctx);
+            ctx.delay(ctx.rng().next_below(800));
+        }
+    });
+    BenchResult result = run.finish();
+    result.lock_timeouts = timeouts;
+    return result;
+}
+
+/**
+ * The lazy-vs-literal differential for timed waits: the eight locks with a
+ * native timeout run run_timed_attempts() bare and with a sink (the
+ * literal loops), flat and on chips, preempted in every other run, and
+ * must give the same simulated run and timeouts. Every lock times out,
+ * and those whose timed paths poll through backoff_poll park their
+ * deadline-bounded polls (COHORT's timed pair and the queue locks' flag
+ * waits do not poll).
+ */
+TEST(LazyPolls, TimedPollsMatchTheLiteralLoops)
+{
+    int i = 0;
+    for (LockKind kind : locks::all_lock_kinds()) {
+        if (!locks::lock_supports_native_timeout(kind))
+            continue;
+        std::uint64_t lazy_picks = 0;
+        for (const bool chips : {false, true}) {
+            harness::SimRunConfig config;
+            config.topology = chips ? Topology::hierarchical(2, 2, 4)
+                                    : Topology::symmetric(2, 4);
+            config.threads = config.topology.num_cpus();
+            config.seed = static_cast<std::uint64_t>(1 + i);
+            config.preemption = i % 2 == 1;
+            config.preempt_mean_interval = 20'000;
+            config.preempt_duration = 5'000;
+            ++i;
+            const std::string name = std::string(locks::lock_name(kind)) +
+                                     (chips ? " on chips" : " flat");
+            const BenchResult lazy = run_timed_attempts(kind, config);
+            CountingSink sink;
+            config.probe = &sink;
+            const BenchResult literal = run_timed_attempts(kind, config);
+            expect_same_run(lazy, literal, name);
+            EXPECT_EQ(lazy.lock_timeouts, literal.lock_timeouts) << name;
+            EXPECT_GT(lazy.lock_timeouts, 0u) << name;
+            EXPECT_EQ(literal.sim_lazy_picks, 0u) << name;
+            EXPECT_GT(sink.events, 0u) << name;
+            lazy_picks += lazy.sim_lazy_picks;
+        }
+        if (polls(kind) && kind != LockKind::Cohort) {
+            EXPECT_GT(lazy_picks, 0u) << locks::lock_name(kind);
+        }
+    }
+    EXPECT_EQ(i, 16);
 }
 
 /**
