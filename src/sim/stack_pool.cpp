@@ -14,19 +14,23 @@ namespace {
 /**
  * Big stacks are carved out of large mmap'd slabs instead of individual
  * allocations. Motivation is the TLB, not the allocator: a big-topology
- * run holds 1024 x 256 KiB fiber stacks, and as separate allocations each
+ * run holds 1024 x 64 KiB fiber stacks, and as separate allocations each
  * stack top needs its own 4 KiB dTLB entry — more entries than the TLB
  * has, so every fiber handover started with a page walk (which also
  * silently drops the stack prefetches the engine issues ahead of each
  * resume — see SimMachine::prefetch_resume_state).
  * Slabs are 2 MiB-aligned and madvise(MADV_HUGEPAGE)'d, so under THP a
- * single TLB entry covers eight stacks and the whole 256 MiB of stacks
- * fits comfortably in the second-level TLB.
+ * single TLB entry covers 32 stacks and the whole 64 MiB of stacks fits
+ * comfortably in the second-level TLB. Carved stacks sit side by side with
+ * no guard page between them (mprotect would split the huge page); the
+ * fibers check their own stacks instead (sim/fiber.hpp).
  */
 constexpr std::size_t kSlabBytes = 16 * 1024 * 1024;
 constexpr std::size_t kHugePage = 2 * 1024 * 1024;
 /** Stacks below this come from new[]: their TLB footprint is small and
- *  slab-carving them would fragment the slabs across odd sizes. */
+ *  slab-carving them would fragment the slabs across odd sizes. The
+ *  simulator's default stack (SimConfig::fiber_stack_bytes) is exactly
+ *  this size, so it stays on the huge pages. */
 constexpr std::size_t kMinSlabCarve = 64 * 1024;
 
 struct Block

@@ -3,10 +3,11 @@
  * Per-host-thread pool of fiber stacks.
  *
  * A benchmark sweep constructs thousands of SimMachines, each of which
- * allocates one 256 KiB stack per simulated thread. Those allocations are
- * big enough that the allocator serves them with mmap/munmap, and the page
- * faults + TLB shootdowns dominated system time in full sweeps (~1/3 of
- * wall time on the fig5 bench before pooling). The pool keeps released
+ * allocates one fiber stack per simulated thread
+ * (SimConfig::fiber_stack_bytes). Allocated afresh, the stacks' pages
+ * fault in again for every machine: with 256 KiB stacks, which the
+ * allocator served with mmap/munmap, the page faults + TLB shootdowns took
+ * ~1/3 of the fig5 bench's wall time before pooling. The pool keeps released
  * stacks on a thread-local free list and hands them back to the next Fiber
  * of the same size, so a sweep touches the kernel once per (host thread,
  * stack slot) instead of once per simulated thread.

@@ -15,9 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include "locks/any_lock.hpp"
 #include "locks/backoff.hpp"
+#include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults.hpp"
+#include "sim/invariants.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -1298,6 +1302,74 @@ TEST(Engine, ControlledTimeLimitIsVerdictNotPanic)
     EXPECT_EQ(m.stop_reason(), StopReason::TimeLimit);
 }
 
+
+// -------------------------------------------------------------------------
+// Fiber stack headroom
+// -------------------------------------------------------------------------
+
+/**
+ * One run of @p kind on fiber stacks half SimConfig's default: untimed
+ * acquisitions and acquire_for calls with timeouts short enough to expire,
+ * each entry walking a shared array, under the invariant checker.
+ */
+void
+run_on_half_stacks(locks::LockKind kind, FaultInjector* faults,
+                   obs::ProbeSink* sink)
+{
+    SimMachine m(Topology::symmetric(2, 4), LatencyModel::wildfire(),
+                 SimConfig{.seed = 7,
+                           .fiber_stack_bytes =
+                               SimConfig{}.fiber_stack_bytes / 2});
+    InvariantChecker checker;
+    m.install_invariants(&checker);
+    m.install_faults(faults);
+    m.install_probe(sink);
+    locks::AnyLock<SimContext> lock(m, kind);
+    const MemRef cs_work = m.alloc_array(4, 0, 0);
+    std::uint64_t entries = 0;
+    m.add_threads(8, Placement::RoundRobinNodes, [&](SimContext& ctx, int) {
+        for (int i = 0; i < 16; ++i) {
+            ctx.cs_wait_begin();
+            if (i % 2 == 0) {
+                lock.acquire(ctx);
+            } else if (!lock.acquire_for(ctx, 2'000)) {
+                ctx.cs_wait_abort();
+                continue;
+            }
+            ctx.cs_enter();
+            ctx.touch_array(cs_work, 4, /*write=*/true);
+            ++entries;
+            ctx.cs_exit();
+            lock.release(ctx);
+            ctx.delay(ctx.rng().next_below(400));
+        }
+    });
+    m.run();
+    EXPECT_EQ(checker.mutual_exclusion_violations(), 0u)
+        << locks::lock_name(kind);
+    EXPECT_EQ(checker.acquisitions(), entries) << locks::lock_name(kind);
+}
+
+/**
+ * The headroom fence for SimConfig::fiber_stack_bytes: every lock runs on
+ * half the default stack without tripping the fiber overflow check, with
+ * parked polls, under a chaos fault plan (the deepest simulated thread
+ * measured ran under one) and into a metrics registry.
+ */
+TEST(FiberStackHeadroom, EveryLockRunsOnHalfTheDefaultStack)
+{
+    for (locks::LockKind kind : locks::all_lock_kinds()) {
+        run_on_half_stacks(kind, nullptr, nullptr);
+
+        FaultInjector chaos(*FaultPlan::parse("chaos", 7, 8));
+        run_on_half_stacks(kind, &chaos, nullptr);
+        EXPECT_GT(chaos.injected(), 0u) << locks::lock_name(kind);
+
+        obs::MetricsRegistry registry;
+        run_on_half_stacks(kind, nullptr, &registry);
+        EXPECT_GT(registry.events_seen(), 0u) << locks::lock_name(kind);
+    }
+}
 
 TEST(Engine, PrintStatsReportsResources)
 {

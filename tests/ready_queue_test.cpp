@@ -9,10 +9,13 @@
  */
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/engine.hpp"
 #include "sim/ready_queue.hpp"
 #include "sim/time.hpp"
 #include "sim/stack_pool.hpp"
@@ -21,6 +24,7 @@ namespace {
 
 using nucalock::sim::kTimeInfinity;
 using nucalock::sim::ReadyQueue;
+using nucalock::sim::SimConfig;
 using nucalock::sim::SimTime;
 using nucalock::sim::StackPool;
 
@@ -229,6 +233,39 @@ TEST(StackPool, ReusesSameSizedStacks)
     StackPool::trim();
     EXPECT_EQ(StackPool::pooled_count(), 0u);
 }
+
+#ifdef __linux__
+/** The 2 MiB-aligned windows that @p count stacks of @p bytes, acquired
+ *  on a fresh host thread, lie in. */
+std::size_t
+huge_pages_spanned(std::size_t count, std::size_t bytes)
+{
+    constexpr int kHugePageShift = 21;
+    std::set<std::uintptr_t> pages;
+    std::thread([&] {
+        std::vector<char*> stacks;
+        for (std::size_t i = 0; i < count; ++i)
+            stacks.push_back(StackPool::acquire(bytes));
+        for (char* stack : stacks) {
+            const auto low = reinterpret_cast<std::uintptr_t>(stack);
+            pages.insert(low >> kHugePageShift);
+            pages.insert((low + bytes - 1) >> kHugePageShift);
+            StackPool::release(stack, bytes);
+        }
+    }).join();
+    return pages.size();
+}
+
+TEST(StackPool, DefaultStacksOfA28ThreadMachineShareOneHugePage)
+{
+    // Stacks are carved side by side from 2 MiB-aligned huge-page slabs,
+    // so the huge pages each executor worker keeps resident are its
+    // machine's stacks over 2 MiB: one at the simulator's default size,
+    // four at a bare Fiber's 256 KiB.
+    EXPECT_EQ(huge_pages_spanned(28, SimConfig{}.fiber_stack_bytes), 1u);
+    EXPECT_EQ(huge_pages_spanned(28, 256 * 1024), 4u);
+}
+#endif
 
 TEST(StackPool, SizeMismatchAllocatesFresh)
 {
