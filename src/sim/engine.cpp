@@ -215,6 +215,19 @@ SimMachine::node_gate(int node)
     return gate;
 }
 
+SimMachine::SimThread::SimThread(SimMachine& machine,
+                                 std::function<void(SimContext&)> b,
+                                 std::size_t stack_bytes)
+    : body(std::move(b)),
+      fiber(
+          [&machine, this] {
+              machine.note_switched_in(); // first entry may be a direct switch
+              body(ctx);
+          },
+          stack_bytes)
+{
+}
+
 int
 SimMachine::add_thread(int cpu, std::function<void(SimContext&)> body)
 {
@@ -224,37 +237,29 @@ SimMachine::add_thread(int cpu, std::function<void(SimContext&)> body)
                 "cpu ", cpu, " already has a thread");
     cpu_used_[static_cast<std::size_t>(cpu)] = true;
 
-    auto thr = std::make_unique<SimThread>();
     const int tid = static_cast<int>(threads_.size());
-    thr->tid = tid;
-    thr->cpu = cpu;
-    thr->body = std::move(body);
-    thr->ctx.machine_ = this;
-    thr->ctx.tid_ = tid;
-    thr->ctx.cpu_ = cpu;
-    thr->ctx.node_ = topo_.node_of_cpu(cpu);
-    thr->ctx.chip_ = topo_.chip_of_cpu(cpu);
-    thr->ctx.rng_ = Xoshiro256(cfg_.seed * std::uint64_t{0x9e3779b97f4a7c15} +
-                               static_cast<std::uint64_t>(tid));
+    SimThread& thr =
+        threads_.emplace_back(*this, std::move(body), cfg_.fiber_stack_bytes);
+    thr.tid = tid;
+    thr.cpu = cpu;
+    thr.ctx.machine_ = this;
+    thr.ctx.tid_ = tid;
+    thr.ctx.cpu_ = cpu;
+    thr.ctx.node_ = topo_.node_of_cpu(cpu);
+    thr.ctx.chip_ = topo_.chip_of_cpu(cpu);
+    thr.ctx.rng_ = Xoshiro256(cfg_.seed * std::uint64_t{0x9e3779b97f4a7c15} +
+                              static_cast<std::uint64_t>(tid));
 
     if (cfg_.preemption) {
         // First preemption point, exponentially distributed.
-        const double u = thr->ctx.rng_.next_double();
-        thr->next_preempt = static_cast<SimTime>(
+        const double u = thr.ctx.rng_.next_double();
+        thr.next_preempt = static_cast<SimTime>(
             -std::log(1.0 - u) * static_cast<double>(cfg_.preempt_mean_interval));
     }
 
-    SimThread* raw = thr.get();
-    thr->fiber = std::make_unique<Fiber>(
-        [this, raw] {
-            note_switched_in(); // first entry may be a direct switch
-            raw->body(raw->ctx);
-        },
-        cfg_.fiber_stack_bytes);
     ThreadHot hot;
-    hot.fiber = thr->fiber.get();
+    hot.fiber = &thr.fiber;
     hot_.push_back(hot);
-    threads_.push_back(std::move(thr));
     return tid;
 }
 
@@ -263,9 +268,11 @@ SimMachine::add_threads(int count, Placement policy,
                         std::function<void(SimContext&, int)> body)
 {
     const std::vector<int> cpus = map_threads(topo_, count, policy);
+    const auto* shared = &shared_bodies_.emplace_front(std::move(body));
+    hot_.reserve(hot_.size() + static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         add_thread(cpus[static_cast<std::size_t>(i)],
-                   [body, i](SimContext& ctx) { body(ctx, i); });
+                   [shared, i](SimContext& ctx) { (*shared)(ctx, i); });
     }
 }
 
@@ -273,7 +280,7 @@ SimMachine::SimThread&
 SimMachine::current()
 {
     NUCA_ASSERT(current_tid_ >= 0, "no current thread");
-    return *threads_[static_cast<std::size_t>(current_tid_)];
+    return threads_[static_cast<std::size_t>(current_tid_)];
 }
 
 [[gnu::always_inline]] inline SimTime
@@ -312,7 +319,7 @@ SimMachine::wake_at(int tid, SimTime t)
     // Skip the cold-struct deref unless preemption/faults can disturb the
     // wake time (disturb_wake is the identity otherwise).
     return cfg_.preemption || injector_ != nullptr
-               ? disturb_wake(*threads_[static_cast<std::size_t>(tid)], t)
+               ? disturb_wake(threads_[static_cast<std::size_t>(tid)], t)
                : t;
 }
 
@@ -415,7 +422,7 @@ SimMachine::lazy_poll(SimContext& ctx, MemRef word, std::uint64_t held,
     constexpr std::uint64_t kNone = ~std::uint64_t{0};
     const int tid = ctx.tid_;
     PollState& p = polls_[static_cast<std::size_t>(tid)];
-    p = PollState{.thr = threads_[static_cast<std::size_t>(tid)].get(),
+    p = PollState{.thr = &threads_[static_cast<std::size_t>(tid)],
                   .at = now_,
                   .max_polls = std::max<std::uint64_t>(max_polls, 1),
                   .deadline = deadline,
@@ -558,7 +565,7 @@ SimMachine::wake_watchers(MemRef ref, SimTime t)
         }
         hot.state = ThreadState::Runnable;
         hot.wake = disturb
-                       ? disturb_wake(*threads_[static_cast<std::size_t>(tid)], t)
+                       ? disturb_wake(threads_[static_cast<std::size_t>(tid)], t)
                        : t;
         hot.waiting_line = MemRef::kInvalid;
         // The woken thread's next access is the refill after the writer's
@@ -570,7 +577,7 @@ SimMachine::wake_watchers(MemRef ref, SimTime t)
             // returns from wait_on and advertises its re-poll as the next
             // decision point. Only controlled mode reads pending; the timed
             // loop instead needs the thread back in the ready queue.
-            threads_[static_cast<std::size_t>(tid)]->pending =
+            threads_[static_cast<std::size_t>(tid)].pending =
                 PendingOp{SchedOp::Wakeup, ref.line};
         } else {
             // The woken thread typically runs as soon as the waker blocks;
@@ -771,7 +778,7 @@ void
 SimMachine::decision_point(SimContext& ctx, PendingOp op)
 {
     NUCA_ASSERT(ctx.tid_ == current_tid_, "decision from non-current thread");
-    threads_[static_cast<std::size_t>(ctx.tid_)]->pending = op;
+    threads_[static_cast<std::size_t>(ctx.tid_)].pending = op;
     ThreadHot& hot = hot_[static_cast<std::size_t>(ctx.tid_)];
     hot.state = ThreadState::Runnable;
     hot.wake = now_;
@@ -826,7 +833,7 @@ SimMachine::sweep_deaths(std::size_t& done)
         if (!injector_->should_die(tid, next_run))
             continue;
         hot.state = ThreadState::Done;
-        threads_[i]->finish = next_run == kTimeInfinity ? now_ : next_run;
+        threads_[i].finish = next_run == kTimeInfinity ? now_ : next_run;
         if (scheduler_ == nullptr)
             ready_.remove(tid);
         ++done;
@@ -864,10 +871,10 @@ SimMachine::run_timed()
     ready_.reset(threads_.size());
     if (parks_polls_)
         polls_.resize(threads_.size());
-    for (const auto& thr : threads_) {
-        ThreadHot& hot = hot_[static_cast<std::size_t>(thr->tid)];
-        hot.resume_sp = thr->fiber->suspended_sp();
-        ready_.push_or_update(thr->tid, hot.wake);
+    for (std::size_t tid = 0; tid < hot_.size(); ++tid) {
+        ThreadHot& hot = hot_[tid];
+        hot.resume_sp = hot.fiber->suspended_sp();
+        ready_.push_or_update(static_cast<int>(tid), hot.wake);
     }
     // Enter the first pick. From then on the fibers hand the host thread
     // to each other (dispatch()); it comes back here only when the running
@@ -885,7 +892,7 @@ SimMachine::run_timed()
         ThreadHot& hot = hot_[static_cast<std::size_t>(ran)];
         if (hot.fiber->finished()) {
             hot.state = ThreadState::Done;
-            threads_[static_cast<std::size_t>(ran)]->finish = now_;
+            threads_[static_cast<std::size_t>(ran)].finish = now_;
             ++done_;
         }
     }
@@ -992,7 +999,7 @@ SimMachine::run_controlled()
         for (std::size_t i = 0; i < hot_.size(); ++i)
             if (hot_[i].state == ThreadState::Runnable)
                 runnable.push_back(
-                    SchedChoice{static_cast<int>(i), threads_[i]->pending});
+                    SchedChoice{static_cast<int>(i), threads_[i].pending});
         if (runnable.empty()) {
             // Every remaining thread is parked on a line watcher: a real
             // deadlock under this schedule. A verdict, not a crash.
@@ -1019,7 +1026,7 @@ SimMachine::run_controlled()
 
         if (next.fiber->finished()) {
             next.state = ThreadState::Done;
-            threads_[static_cast<std::size_t>(tid)]->finish = now_;
+            threads_[static_cast<std::size_t>(tid)].finish = now_;
             ++done;
         }
     }
@@ -1060,9 +1067,10 @@ SimMachine::panic_with_diagnosis(const std::string& what) const
 {
     std::ostringstream oss;
     oss << what << " at t=" << now_ << " ns\n";
-    for (const auto& thr : threads_) {
-        const ThreadHot& hot = hot_[static_cast<std::size_t>(thr->tid)];
-        oss << "  t" << thr->tid << " cpu=" << thr->cpu << " ";
+    for (std::size_t i = 0; i < threads_.size(); ++i) {
+        const SimThread& thr = threads_[i];
+        const ThreadHot& hot = hot_[i];
+        oss << "  t" << thr.tid << " cpu=" << thr.cpu << " ";
         switch (hot.state) {
           case ThreadState::Runnable:
             oss << "runnable, wake=" << hot.wake << " ns";
@@ -1071,7 +1079,7 @@ SimMachine::panic_with_diagnosis(const std::string& what) const
             oss << "waiting on line " << hot.waiting_line;
             break;
           case ThreadState::Done:
-            oss << "done at " << thr->finish << " ns";
+            oss << "done at " << thr.finish << " ns";
             break;
         }
         oss << "\n";
@@ -1109,7 +1117,7 @@ SimMachine::panic_with_diagnosis(const std::string& what) const
                  << "\",\n";
         json << "  \"threads\": [\n";
         for (std::size_t i = 0; i < threads_.size(); ++i) {
-            const SimThread& thr = *threads_[i];
+            const SimThread& thr = threads_[i];
             const ThreadState st = hot_[i].state;
             const char* state = st == ThreadState::Runnable ? "runnable"
                                 : st == ThreadState::Waiting ? "waiting"
@@ -1170,7 +1178,7 @@ SimMachine::finish_time(int tid) const
     NUCA_ASSERT(tid >= 0 && tid < num_threads(), "tid=", tid);
     NUCA_ASSERT(hot_[static_cast<std::size_t>(tid)].state == ThreadState::Done,
                 "thread ", tid, " not finished");
-    return threads_[static_cast<std::size_t>(tid)]->finish;
+    return threads_[static_cast<std::size_t>(tid)].finish;
 }
 
 } // namespace nucalock::sim

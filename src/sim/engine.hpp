@@ -7,8 +7,8 @@
 #ifndef NUCALOCK_SIM_ENGINE_HPP
 #define NUCALOCK_SIM_ENGINE_HPP
 
+#include <forward_list>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -302,7 +302,8 @@ class SimMachine
 
     /**
      * Convenience: add @p count threads placed per @p policy; @p body
-     * receives the context and the thread index.
+     * receives the context and the thread index. The machine keeps one
+     * copy of @p body for all of them.
      */
     void add_threads(int count, Placement policy,
                      std::function<void(SimContext&, int)> body);
@@ -521,9 +522,13 @@ class SimMachine
         // The Fiber object itself: the switch reads and writes its switch
         // state before touching the stack.
         __builtin_prefetch(hot.fiber);
-        // The SimContext the resumed lock code immediately returns into
-        // (it lives in the cold heap-allocated SimThread).
-        __builtin_prefetch(&threads_[static_cast<std::size_t>(tid)]->ctx);
+        // The SimContext the resumed lock code immediately returns into:
+        // the member right below the Fiber in the thread's SimThread,
+        // reached from the fiber pointer. Indexing threads_ here instead
+        // (a bounds check and two dependent loads on every pick) made the
+        // Fig 5 cells' run loop about 8% slower.
+        __builtin_prefetch(reinterpret_cast<const char*>(hot.fiber) -
+                           sizeof(SimContext));
         const char* sp = static_cast<const char*>(hot.resume_sp);
         if (sp == nullptr)
             return; // running, or a platform without fast switches
@@ -541,18 +546,26 @@ class SimMachine
     }
 
     /** Cold per-thread state: identity, diagnostics, and everything the
-     *  per-event loop does not read. Heap-allocated so the fiber entry
-     *  lambda's captured pointer stays valid as threads_ grows. */
+     *  per-event loop does not read, with the thread's fiber. Kept in a
+     *  ChunkArena, so it never moves (a Fiber cannot: its entry and its
+     *  stack image point at it, and so do ThreadHot::fiber and
+     *  PollState::thr), and a 28-thread machine's threads are one heap
+     *  allocation. */
     struct SimThread
     {
+        SimThread(SimMachine& machine, std::function<void(SimContext&)> b,
+                  std::size_t stack_bytes);
+
         int tid = -1;
         int cpu = -1;
-        std::unique_ptr<Fiber> fiber;
         SimTime finish = 0;
         SimTime next_preempt = kTimeInfinity;
         PendingOp pending; // controlled mode only
         std::function<void(SimContext&)> body;
+        /** Right below fiber: prefetch_resume_state finds it from there. */
         SimContext ctx;
+        /** Runs body(ctx). */
+        Fiber fiber;
     };
 
     /** Issue a memory op for the current thread and handle wakeups. */
@@ -779,7 +792,12 @@ class SimMachine
     LatencyModel lat_;
     SimConfig cfg_;
     SimMemory memory_;
-    std::vector<std::unique_ptr<SimThread>> threads_;
+    /** The bodies of add_threads() calls, one per call; their threads
+     *  call them through a {pointer, index} closure, which fits
+     *  std::function's small buffer. A list, so they never move. */
+    std::forward_list<std::function<void(SimContext&, int)>> shared_bodies_;
+    /** By tid; 32 to a chunk. */
+    ChunkArena<SimThread, 5> threads_;
     /** Hot scheduling state by tid (see ThreadHot). */
     std::vector<ThreadHot> hot_;
     /** Lazy backoff polls by tid (see PollState); sized by run_timed()

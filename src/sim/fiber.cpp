@@ -27,6 +27,24 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+// AddressSanitizer has to be told which stack the host thread runs on, or
+// it takes every fiber stack for the host thread's: a noreturn call made
+// on a fiber (a NUCA_PANIC in a simulated thread) then warns that it is
+// "ignoring requested __asan_handle_no_return", and fake frames
+// (detect_stack_use_after_return) are misattributed. Every switch starts
+// with __sanitizer_start_switch_fiber(the stack it enters), and the code
+// it lands in finishes it (asan_switched_in). NUCALOCK_ASAN_FIBERS is set
+// in fiber.hpp, which holds the fields it needs.
+#ifdef NUCALOCK_ASAN_FIBERS
+extern "C" {
+void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
+                                    std::size_t size);
+void __sanitizer_finish_switch_fiber(void* fake_stack_save,
+                                     const void** bottom_old,
+                                     std::size_t* size_old);
+}
+#endif
+
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
 
 /**
@@ -234,6 +252,7 @@ Fiber::trampoline(unsigned int hi, unsigned int lo)
 void
 Fiber::run()
 {
+    asan_switched_in();
     entry_();
     check_stack();
     finished_ = true;
@@ -241,6 +260,11 @@ Fiber::run()
 #ifdef NUCALOCK_TSAN_FIBERS
     // The switch below bypasses yield(), so announce it here.
     __tsan_switch_to_fiber(tsan_caller_, 0);
+#endif
+#ifdef NUCALOCK_ASAN_FIBERS
+    // Never switched back into: ASan frees this fiber's fake stack.
+    __sanitizer_start_switch_fiber(nullptr, asan_caller_bottom_,
+                                   asan_caller_size_);
 #endif
     // Final switch back to the resumer, inherited if this fiber was entered
     // by switch_to(). The fiber is never entered again (resume() and
@@ -263,6 +287,12 @@ Fiber::resume()
     tsan_caller_ = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
+#ifdef NUCALOCK_ASAN_FIBERS
+    // The fiber learns the resumer's stack as it finishes this switch.
+    void* resumer_fake_stack = nullptr;
+    asan_caller_bottom_ = nullptr;
+    __sanitizer_start_switch_fiber(&resumer_fake_stack, stack_, stack_bytes_);
+#endif
     // Control comes back here when this fiber, or any fiber it handed the
     // host thread to with switch_to(), yields or finishes. Whichever it is
     // cleared its own inside_ on the way out, so nothing after the switch
@@ -273,6 +303,9 @@ Fiber::resume()
     caller_ = &resumer_;
     if (swapcontext(&resumer_, &context_) != 0)
         NUCA_PANIC("swapcontext into fiber failed");
+#endif
+#ifdef NUCALOCK_ASAN_FIBERS
+    __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
 #endif
     if (t_overflowed_stack_bytes != 0) [[unlikely]]
         stack_overflow_panic();
@@ -293,11 +326,32 @@ Fiber::switch_to_resumer()
 #ifdef NUCALOCK_TSAN_FIBERS
     __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
+#ifdef NUCALOCK_ASAN_FIBERS
+    __sanitizer_start_switch_fiber(&asan_fake_stack_, asan_caller_bottom_,
+                                   asan_caller_size_);
+#endif
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
     nucalock_fiber_swap(&switch_sp_, caller_sp_);
 #else
     if (swapcontext(&context_, caller_) != 0)
         NUCA_PANIC("swapcontext out of fiber failed");
+#endif
+    asan_switched_in();
+}
+
+void
+Fiber::asan_switched_in()
+{
+#ifdef NUCALOCK_ASAN_FIBERS
+    const void* from_bottom = nullptr;
+    std::size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(asan_fake_stack_, &from_bottom, &from_size);
+    // Entered by resume(): the stack left is the resumer's. A switch_to()
+    // set the inherited resumer's already.
+    if (asan_caller_bottom_ == nullptr) {
+        asan_caller_bottom_ = from_bottom;
+        asan_caller_size_ = from_size;
+    }
 #endif
 }
 
@@ -317,6 +371,12 @@ Fiber::switch_to(Fiber& next)
     next.tsan_caller_ = tsan_caller_;
     __tsan_switch_to_fiber(next.tsan_fiber_, 0);
 #endif
+#ifdef NUCALOCK_ASAN_FIBERS
+    next.asan_caller_bottom_ = asan_caller_bottom_;
+    next.asan_caller_size_ = asan_caller_size_;
+    __sanitizer_start_switch_fiber(&asan_fake_stack_, next.stack_,
+                                   next.stack_bytes_);
+#endif
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
     next.caller_sp_ = caller_sp_;
     nucalock_fiber_swap(&switch_sp_, next.switch_sp_);
@@ -325,6 +385,7 @@ Fiber::switch_to(Fiber& next)
     if (swapcontext(&context_, &next.context_) != 0)
         NUCA_PANIC("swapcontext between fibers failed");
 #endif
+    asan_switched_in();
 }
 
 } // namespace nucalock::sim

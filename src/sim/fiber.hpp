@@ -40,6 +40,16 @@
 #include <ucontext.h>
 #endif
 
+// Under AddressSanitizer every switch tells it the stack it enters
+// (sim/fiber.cpp); the fields that takes are compiled in only there.
+#if defined(__SANITIZE_ADDRESS__)
+#define NUCALOCK_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define NUCALOCK_ASAN_FIBERS 1
+#endif
+#endif
+
 #ifdef NUCALOCK_FIBER_FAST_SWITCH
 /** Assembly entry shim: recovers the Fiber* and enters Fiber::run(). */
 extern "C" void nucalock_fiber_entry(void* fiber);
@@ -124,6 +134,8 @@ class Fiber
     void check_stack();
     /** Switch to the resumer, whose resume() panics. */
     void stack_overflow();
+    /** Finish ASan's switch into this fiber, on its stack (ASan only). */
+    void asan_switched_in();
 
     Entry entry_;
     char* stack_ = nullptr; // from StackPool; released by the destructor
@@ -144,6 +156,12 @@ class Fiber
     std::uint16_t canary_offset_ = 0;
     void* tsan_fiber_ = nullptr;  // TSan's view of this fiber (TSan only)
     void* tsan_caller_ = nullptr; // TSan fiber to return to on yield
+#ifdef NUCALOCK_ASAN_FIBERS
+    void* asan_fake_stack_ = nullptr; // ASan's fake frames while suspended
+    /** The stack yield() returns to (the resumer's, maybe inherited). */
+    const void* asan_caller_bottom_ = nullptr;
+    std::size_t asan_caller_size_ = 0;
+#endif
 };
 
 } // namespace nucalock::sim

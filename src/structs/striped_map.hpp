@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/compiler.hpp"
 #include "common/logging.hpp"
 #include "locks/any_lock.hpp"
 #include "locks/context.hpp"
@@ -258,7 +259,11 @@ class StripedMap
     }
 
   private:
-    struct Stripe
+    /** Cache-line aligned: on real threads, the holders of different
+     *  stripes' locks write their own stripe's stats and last_holder_*
+     *  fields, and neighbouring heap objects shared lines. Host layout only;
+     *  simulated runs cannot see it. */
+    struct alignas(kCacheLineBytes) Stripe
     {
         Stripe(Machine& machine, locks::LockKind kind,
                const locks::LockParams& params, int home,

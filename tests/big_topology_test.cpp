@@ -233,6 +233,40 @@ TEST(ChunkArenaTest, ReferencesSurviveGrowth)
         EXPECT_EQ(arena[i], i);
 }
 
+/** Counts its constructions and destructions (ChunkArenaTest). */
+struct Counted
+{
+    static inline int constructed = 0;
+    static inline int destroyed = 0;
+
+    Counted() { ++constructed; }
+    explicit Counted(int v) : value(v) { ++constructed; }
+    Counted(const Counted& other) : value(other.value) { ++constructed; }
+    Counted& operator=(const Counted&) = default;
+    ~Counted() { ++destroyed; }
+
+    int value = 0;
+};
+
+TEST(ChunkArenaTest, ConstructsOnlyWhatIsPushed)
+{
+    // A chunk is raw storage: only what is pushed is constructed.
+    Counted::constructed = 0;
+    Counted::destroyed = 0;
+    {
+        ChunkArena<Counted, 4> arena; // 16-element chunks
+        const Counted seven(7);
+        for (int i = 0; i < 17; ++i)
+            arena.push_back(seven);
+        EXPECT_EQ(arena.num_chunks(), 2u);
+        EXPECT_EQ(Counted::constructed, 18); // `seven` and 17 copies
+        EXPECT_EQ(Counted::destroyed, 0);
+        EXPECT_EQ(arena[16].value, 7);
+    }
+    // The arena destroys exactly what it constructed.
+    EXPECT_EQ(Counted::destroyed, Counted::constructed);
+}
+
 // ---------------------------------------------------------------------------
 // Ready-queue bulk push: any batch must pop in exactly the order the
 // equivalent sequence of single pushes would.

@@ -59,6 +59,39 @@ TEST(Engine, LoadStoreRoundTrip)
     EXPECT_EQ(m.memory().peek(ref), 9u);
 }
 
+/** Counts the copies made of it; moves are free (AddThreads test). */
+struct CopyCounter
+{
+    explicit CopyCounter(int* c) : copies(c) {}
+    CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+    CopyCounter(CopyCounter&& other) noexcept : copies(other.copies) {}
+
+    int* copies;
+};
+
+TEST(Engine, AddThreadsKeepsOneCopyOfItsBody)
+{
+    // The machine keeps add_threads()'s body for the run: a temporary
+    // whose captured string dies with the call still runs, on every
+    // thread, and it is never copied.
+    SimMachine m(Topology::symmetric(2, 2));
+    std::vector<std::string> seen(4);
+    int copies = 0;
+    m.add_threads(4, Placement::RoundRobinNodes,
+                  std::function<void(SimContext&, int)>(
+                      [text = std::string(40, 'x'), counter = CopyCounter(&copies),
+                       &seen](SimContext& ctx, int i) {
+                          ctx.delay(static_cast<std::uint64_t>(4 - i));
+                          seen[static_cast<std::size_t>(i)] =
+                              text + std::to_string(i);
+                      }));
+    m.run();
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(seen[static_cast<std::size_t>(i)],
+                  std::string(40, 'x') + std::to_string(i));
+    EXPECT_EQ(copies, 0);
+}
+
 TEST(Engine, ContextIdentity)
 {
     SimMachine m(Topology::hierarchical(2, 2, 2));
@@ -1181,6 +1214,50 @@ TEST(EngineDeathTest, TimeLimitInsideAReplayedWalkIsTheLiteralDiagnosis)
               0u)
         << replayed;
     EXPECT_EQ(diagnosis(replayed), diagnosis(literal));
+}
+
+/** Death-test output holding @p text and no ASan warning that it took a
+ *  fiber stack for the host thread's (sim/fiber.cpp). */
+class PanicWithoutAsanWarning
+    : public ::testing::MatcherInterface<const std::string&>
+{
+  public:
+    explicit PanicWithoutAsanWarning(std::string text) : text_(std::move(text)) {}
+
+    bool
+    MatchAndExplain(const std::string& output,
+                    ::testing::MatchResultListener*) const override
+    {
+        return output.find(text_) != std::string::npos &&
+               output.find("__asan_handle_no_return") == std::string::npos;
+    }
+
+    void
+    DescribeTo(std::ostream* os) const override
+    {
+        *os << "holds \"" << text_
+            << "\" and no __asan_handle_no_return warning";
+    }
+
+  private:
+    std::string text_;
+};
+
+TEST(EngineDeathTest, PanicOnAFiberIsReportedCleanly)
+{
+    // A simulated thread that panics makes a noreturn call on its fiber's
+    // stack. ASan prints "ASan is ignoring requested
+    // __asan_handle_no_return" first unless the fiber switches tell it
+    // which stack the host thread is on.
+    SimMachine m(Topology::symmetric(1, 2));
+    const MemRef word = m.alloc(3, 0);
+    m.add_thread(0, [&](SimContext& ctx) {
+        if (ctx.load(word) == 3)
+            NUCA_PANIC("simulated thread gave up on word ", word.line);
+    });
+    EXPECT_DEATH(m.run(), ::testing::Matcher<const std::string&>(
+                              new PanicWithoutAsanWarning(
+                                  "simulated thread gave up on word 0")));
 }
 
 TEST(EngineDeathTest, InstallProbeAfterRunRejected)
